@@ -5,7 +5,8 @@ import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
+import repro.core.EvalCore
+import repro.sparql.{BgpQuery, TriplePattern}
 
 /** Behaviour-faithful Rya stand-in (Punnoose et al., 2012).
   *
@@ -36,48 +37,14 @@ final class RyaLike(
     else "pos" // predicate is always bound in our fragment
 
   /** Bindings DataFrame for one pattern via an index lookup. */
-  private def evalPattern(tp: TriplePattern): DataFrame = {
-    var df = indexes(indexFor(tp)).where(col("p") === tp.p.value)
-    (tp.s, tp.o) match {
-      case (sv: Var, ov: Var) if sv == ov => df = df.where(col("s") === col("o"))
-      case _                               => ()
-    }
-    tp.s match {
-      case Iri(c) => df = df.where(col("s") === c)
-      case Lit(c) => df = df.where(col("s") === c)
-      case _      => ()
-    }
-    tp.o match {
-      case Iri(c) => df = df.where(col("o") === c)
-      case Lit(c) => df = df.where(col("o") === c)
-      case _      => ()
-    }
-    val cols = Seq(
-      tp.s match { case Var(n) => Some(col("s") as n); case _ => None },
-      tp.o match { case Var(n) if tp.o != tp.s => Some(col("o") as n); case _ => None },
-    ).flatten
-    if (cols.isEmpty) df.select(lit(true) as "__ground") else df.select(cols: _*)
-  }
+  private def evalPattern(tp: TriplePattern): DataFrame =
+    EvalCore.bind(indexes(indexFor(tp)).where(col("p") === tp.p.value), tp)
 
   /** Rya's join reordering: constant-bearing patterns first, then query
     * order, keeping connectivity when possible.
     */
-  private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] = {
-    def constants(tp: TriplePattern): Int =
-      Seq(tp.s, tp.o).count(!_.isVariable)
-    val remaining = scala.collection.mutable.ArrayBuffer(patterns: _*)
-    val ordered = Vector.newBuilder[TriplePattern]
-    var bound = Set.empty[Var]
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter(_.variables.exists(bound.contains))
-      val pool = if (bound.isEmpty || connected.isEmpty) remaining.toSeq else connected.toSeq
-      val next = pool.maxBy(constants)
-      remaining -= next
-      ordered += next
-      bound ++= next.variables
-    }
-    ordered.result()
-  }
+  private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] =
+    EvalCore.connectedOrder(patterns)(_.variables, tp => -Seq(tp.s, tp.o).count(!_.isVariable).toDouble)
 
   /** Materialise a DataFrame to the scratch dir and read it back — the
     * disk round-trip that models Accumulo's join pipeline.
@@ -92,15 +59,10 @@ final class RyaLike(
   def query(q: BgpQuery): DataFrame = {
     val queryId = java.util.UUID.randomUUID().toString
     val ordered = orderPatterns(q.patterns)
-    var acc = evalPattern(ordered.head)
-    ordered.tail.zipWithIndex.foreach { case (tp, i) =>
-      acc = materialize(acc, i, queryId)
-      val df = evalPattern(tp)
-      val shared = acc.columns.toSeq.intersect(df.columns.toSeq)
-      acc = if (shared.isEmpty) acc.crossJoin(df) else acc.join(df, shared, "inner")
+    val joined = ordered.tail.zipWithIndex.foldLeft(evalPattern(ordered.head)) {
+      case (acc, (tp, i)) => EvalCore.joinShared(materialize(acc, i, queryId), evalPattern(tp))
     }
-    val out = acc.select(q.effectiveProjection.map(v => col(v.name)): _*)
-    if (q.distinct) out.distinct() else out
+    EvalCore.project(joined, q.effectiveProjection, q.distinct)
   }
 }
 

@@ -3,8 +3,8 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.GraphStats
-import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
+import repro.core.{EvalCore, GraphStats, VpStore}
+import repro.sparql.{BgpQuery, TriplePattern, Var}
 
 /** Behaviour-faithful S2RDF stand-in (Schätzle et al., VLDB 2016).
   *
@@ -20,14 +20,11 @@ import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
   * OO is not materialised; patterns joining object–object fall back to VP.
   */
 final class S2RdfLike(
-    val spark: SparkSession,
-    vp: Map[String, DataFrame],
+    vp: VpStore,
+    stats: GraphStats,
     ext: Map[String, DataFrame],          // position -> (p1, p2, s, o)
-    vpSizes: Map[String, Long],
     extSizes: Map[(String, String, String), Long], // (pos, p1, p2) -> rows
 ) {
-
-  import S2RdfLike.{Positions, emptySo}
 
   /** The precomputed reduction of `p1` against `p2` at `pos`, if any. */
   private def extTable(pos: String, p1: String, p2: String): Option[DataFrame] =
@@ -40,8 +37,8 @@ final class S2RdfLike(
     * the smallest one wins, VP is the fallback.
     */
   private[baselines] def chooseTable(tp: TriplePattern, query: BgpQuery): (DataFrame, Long) = {
-    val vpTable = vp.getOrElse(tp.p.value, emptySo(spark))
-    val vpSize = vpSizes.getOrElse(tp.p.value, 0L)
+    val vpTable = vp.tableFor(tp.p.value)
+    val vpSize = stats(tp.p.value).tripleCount
     val candidates = for {
       other <- query.patterns if other ne tp
       pos <- Seq(
@@ -56,30 +53,6 @@ final class S2RdfLike(
     }
   }
 
-  /** Bindings DataFrame for one pattern from its chosen `(s, o)` table. */
-  private def evalPattern(tp: TriplePattern, table: DataFrame): DataFrame = {
-    var df = table
-    (tp.s, tp.o) match {
-      case (sv: Var, ov: Var) if sv == ov => df = df.where(col("s") === col("o"))
-      case _                               => ()
-    }
-    tp.s match {
-      case Iri(c) => df = df.where(col("s") === c)
-      case Lit(c) => df = df.where(col("s") === c)
-      case _      => ()
-    }
-    tp.o match {
-      case Iri(c) => df = df.where(col("o") === c)
-      case Lit(c) => df = df.where(col("o") === c)
-      case _      => ()
-    }
-    val cols = Seq(
-      tp.s match { case Var(n) => Some(col("s") as n); case _ => None },
-      tp.o match { case Var(n) if tp.o != tp.s => Some(col("o") as n); case _ => None },
-    ).flatten
-    if (cols.isEmpty) df.select(lit(true) as "__ground") else df.select(cols: _*)
-  }
-
   /** Run a query: per-pattern table selection, then size-ordered,
     * connectivity-aware DataFrame joins (S2RDF runs on Spark SQL).
     */
@@ -92,39 +65,16 @@ final class S2RdfLike(
       if (!tp.o.isVariable) w *= 0.01
       w
     }
-    val remaining = scala.collection.mutable.ArrayBuffer(q.patterns: _*)
-    var acc: DataFrame = null
-    var bound = Set.empty[Var]
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter(_.variables.exists(bound.contains))
-      val pool = if (acc == null || connected.isEmpty) remaining.toSeq else connected.toSeq
-      val next = pool.minBy(weight)
-      remaining -= next
-      val df = evalPattern(next, chosen(next)._1)
-      acc =
-        if (acc == null) df
-        else {
-          val shared = acc.columns.toSeq.intersect(df.columns.toSeq)
-          if (shared.isEmpty) acc.crossJoin(df) else acc.join(df, shared, "inner")
-        }
-      bound ++= next.variables
-    }
-    val out = acc.select(q.effectiveProjection.map(v => col(v.name)): _*)
-    if (q.distinct) out.distinct() else out
+    val joined = EvalCore.connectedOrder(q.patterns)(_.variables, weight)
+      .map(tp => EvalCore.bind(chosen(tp)._1, tp))
+      .reduceLeft(EvalCore.joinShared(_, _))
+    EvalCore.project(joined, q.effectiveProjection, q.distinct)
   }
 }
 
 object S2RdfLike {
 
   val Positions: Seq[String] = Seq("SS", "SO", "OS")
-
-  private def emptySo(spark: SparkSession): DataFrame = {
-    import org.apache.spark.sql.types._
-    spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      StructType(Seq(StructField("s", StringType), StructField("o", StringType))),
-    )
-  }
 
   /** The ExtVP precomputation, as three bulk self-joins producing
     * `(p1, p2, s, o)` tables (one per position). Joining against the
@@ -156,13 +106,9 @@ object S2RdfLike {
     * computed eagerly because table selection needs them.
     */
   def build(triples: DataFrame): S2RdfLike = {
-    val spark = triples.sparkSession
     val stats = GraphStats.compute(triples)
-    val vp = stats.predicates.map(p =>
-      p -> triples.where(col("p") === p).select("s", "o")).toMap
     val ext = extTables(triples).map { case (k, df) => k -> df.cache() }
-    new S2RdfLike(spark, vp, ext,
-      stats.predicates.map(p => p -> stats(p).tripleCount).toMap, sizesOf(ext))
+    new S2RdfLike(VpStore.build(triples, stats), stats, ext, sizesOf(ext))
   }
 
   /** S2RDF loading phase (the Table 1 cost): VP Parquet + the three ExtVP
@@ -177,7 +123,7 @@ object S2RdfLike {
   def writeTo(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
-    repro.core.VpStore.write(cached, stats, s"$dir/vp")
+    VpStore.write(cached, stats, s"$dir/vp")
 
     val bySubject = cached.select(col("p") as "p2", col("s") as "k").distinct().cache()
     val byObject  = cached.select(col("p") as "p2", col("o") as "k").distinct().cache()
@@ -217,8 +163,6 @@ object S2RdfLike {
   /** Open a store written by [[writeTo]]. */
   def loadFrom(spark: SparkSession, dir: String): S2RdfLike = {
     val stats = repro.core.Prost.readStats(s"$dir/stats.tsv")
-    val vpStore = repro.core.VpStore.load(spark, s"$dir/vp", stats.predicates)
-    val vp = stats.predicates.map(p => p -> vpStore.tableFor(p)).toMap
     val ext = Positions.map(pos => pos -> spark.read.parquet(s"$dir/extvp_$pos")).toMap
     val sizes = scala.jdk.CollectionConverters.ListHasAsScala(
       java.nio.file.Files.readAllLines(java.nio.file.Paths.get(s"$dir/ext_sizes.tsv"))
@@ -226,7 +170,6 @@ object S2RdfLike {
       val Array(pos, p1, p2, n) = line.split("\t")
       (pos, p1, p2) -> n.toLong
     }.toMap
-    new S2RdfLike(spark, vp, ext,
-      stats.predicates.map(p => p -> stats(p).tripleCount).toMap, sizes)
+    new S2RdfLike(VpStore.load(spark, s"$dir/vp", stats.predicates), stats, ext, sizes)
   }
 }

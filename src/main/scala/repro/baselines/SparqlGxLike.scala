@@ -5,7 +5,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
-import repro.core.GraphStats
+import repro.core.{EvalCore, GraphStats}
 import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
@@ -34,25 +34,14 @@ final class SparqlGxLike(
     * the estimate sharply; each next pattern must share a variable with
     * the already-joined set when possible.
     */
-  private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] = {
-    def weight(tp: TriplePattern): Double = {
-      var w = counts.getOrElse(tp.p.value, 0L).toDouble
-      if (!tp.s.isVariable) w *= 0.01
-      if (!tp.o.isVariable) w *= 0.01
-      w
-    }
-    val remaining = scala.collection.mutable.ArrayBuffer(patterns: _*)
-    val ordered = Vector.newBuilder[TriplePattern]
-    var bound = Set.empty[Var]
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter(_.variables.exists(bound.contains))
-      val pool = if (bound.isEmpty || connected.isEmpty) remaining.toSeq else connected.toSeq
-      val next = pool.minBy(weight)
-      remaining -= next
-      ordered += next
-      bound ++= next.variables
-    }
-    ordered.result()
+  private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] =
+    EvalCore.connectedOrder(patterns)(_.variables, weight)
+
+  private def weight(tp: TriplePattern): Double = {
+    var w = counts.getOrElse(tp.p.value, 0L).toDouble
+    if (!tp.s.isVariable) w *= 0.01
+    if (!tp.o.isVariable) w *= 0.01
+    w
   }
 
   /** Evaluate one pattern to an RDD of variable bindings. */

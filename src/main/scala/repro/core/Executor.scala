@@ -16,51 +16,16 @@ final class Executor(vp: VpStore, pt: PropertyTable) {
   /** Execute a whole tree: returns a DataFrame with one column per
     * projected variable (bag semantics; `distinct` applied if requested).
     */
-  def execute(tree: JoinTree): DataFrame = {
-    val full = executeNode(tree.root)
-    val projected = full.select(tree.projection.map(v => col(v.name)): _*)
-    if (tree.distinct) projected.distinct() else projected
-  }
+  def execute(tree: JoinTree): DataFrame =
+    EvalCore.project(executeNode(tree.root), tree.projection, tree.distinct)
 
   /** Execute one node and fold in its children. */
   private def executeNode(node: JtNode): DataFrame = {
     val own = node match {
-      case VpJtNode(tp, _)           => vpPattern(tp)
+      case VpJtNode(tp, _)           => EvalCore.bind(vp.tableFor(tp.p.value), tp)
       case PtJtNode(subject, ps, _)  => ptGroup(subject, ps)
     }
-    node.children.foldLeft(own) { (acc, child) =>
-      val childDf = executeNode(child)
-      val shared = acc.columns.toSeq.intersect(childDf.columns.toSeq)
-      if (shared.isEmpty) acc.crossJoin(childDf)
-      else acc.join(childDf, shared, "inner")
-    }
-  }
-
-  /** A single pattern answered from its VP table. */
-  private[core] def vpPattern(tp: TriplePattern): DataFrame = {
-    val table = vp.tableFor(tp.p.value)
-    val filtered = (tp.s, tp.o) match {
-      case (sv: Var, ov: Var) if sv == ov => table.where(col("s") === col("o"))
-      case _                               => table
-    }
-    val withS = tp.s match {
-      case _: Var   => filtered
-      case Iri(c)   => filtered.where(col("s") === c)
-      case Lit(c)   => filtered.where(col("s") === c)
-    }
-    val withO = tp.o match {
-      case _: Var   => withS
-      case Iri(c)   => withS.where(col("o") === c)
-      case Lit(c)   => withS.where(col("o") === c)
-    }
-    val cols = Seq(
-      tp.s match { case Var(n) => Some(col("s") as n); case _ => None },
-      tp.o match { case Var(n) if tp.o != tp.s => Some(col("o") as n); case _ => None },
-    ).flatten
-    // A fully-ground pattern binds nothing but still constrains: keep a
-    // marker column so the row count (0 or 1) survives the projection.
-    if (cols.isEmpty) withO.select(lit(true) as s"__ground_${tp.p.value.hashCode.abs}")
-    else withO.select(cols: _*)
+    node.children.foldLeft(own)((acc, child) => EvalCore.joinShared(acc, executeNode(child)))
   }
 
   /** A same-subject group answered with selects/explodes on the PT — the

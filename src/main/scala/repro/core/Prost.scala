@@ -82,9 +82,14 @@ object Prost {
 
   /** Persist the stats as TSV: predicate, tripleCount, distinctSubjects,
     * maxPerSubject (one line each). Local filesystem only, like all the
-    * reproduction's storage.
+    * reproduction's storage. A predicate holding a tab or line break
+    * cannot be written as one TSV field and is rejected.
     */
   def writeStats(stats: GraphStats, path: String): Unit = {
+    stats.predicates.find(_.exists(c => c == '\t' || c == '\n' || c == '\r')).foreach { p =>
+      throw new IllegalArgumentException(
+        s"cannot write stats to $path: predicate ${escape(p)} contains a tab or line break")
+    }
     val lines = stats.predicates.map { p =>
       val st = stats(p)
       s"$p\t${st.tripleCount}\t${st.distinctSubjects}\t${st.maxPerSubject}"
@@ -94,13 +99,27 @@ object Prost {
     ()
   }
 
-  /** Read stats written by [[writeStats]]. */
+  /** Read stats written by [[writeStats]]; a malformed line fails with its
+    * path and line number.
+    */
   def readStats(path: String): GraphStats = {
-    val entries = Files.readAllLines(Paths.get(path), StandardCharsets.UTF_8)
-      .asScala.filter(_.nonEmpty).map { line =>
-        val Array(p, c, d, m) = line.split("\t")
-        p -> PredicateStats(p, c.toLong, d.toLong, m.toLong)
+    val lines = Files.readAllLines(Paths.get(path), StandardCharsets.UTF_8).asScala
+    val entries = lines.zipWithIndex.filter(_._1.nonEmpty).map { case (line, i) =>
+      def malformed(why: String) =
+        throw new IllegalArgumentException(s"$path:${i + 1}: $why: ${escape(line)}")
+      line.split("\t", -1) match {
+        case Array(p, c, d, m) =>
+          (c.toLongOption, d.toLongOption, m.toLongOption) match {
+            case (Some(c), Some(d), Some(m)) => p -> PredicateStats(p, c, d, m)
+            case _ => malformed("counts must be integers")
+          }
+        case fields => malformed(s"expected 4 tab-separated fields, found ${fields.length}")
       }
+    }
     GraphStats(entries.toMap)
   }
+
+  /** `s` quoted, with tabs and line breaks shown as escapes. */
+  private def escape(s: String): String =
+    "\"" + s.replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r") + "\""
 }

@@ -81,33 +81,22 @@ final class Translator(stats: GraphStats) {
       }
     }
 
-  /** Build the Join Tree: the heaviest node becomes the root (computed
-    * last); the remaining nodes are inserted in descending weight order,
-    * each attached to a node it shares a variable with, so selective nodes
-    * end up deepest and are computed first.
+  /** Build the Join Tree. Nodes are placed in [[EvalCore.connectedOrder]]
+    * by descending weight: the heaviest node becomes the root (computed
+    * last), and each later node is the heaviest one left that shares a
+    * variable with the nodes already placed. Each node attaches to the
+    * first placed node it shares a variable with, so the [[Executor]]
+    * joins every child into its parent on a shared variable and the tree
+    * is the join order that runs. Only a disconnected BGP gives a node
+    * with no such parent; it hangs under the root as a cross join.
     */
   def translate(query: BgpQuery, vpOnly: Boolean = false): JoinTree = {
-    val nodes = groupNodes(query, vpOnly)
-    val ordered = nodes.sortBy(n => -nodeWeight(n))
-
-    // Mutable forest assembly: parent index per node, children accumulated.
-    val placed = scala.collection.mutable.ArrayBuffer[JtNode](ordered.head)
-    val childIdx = scala.collection.mutable.Map.empty[Int, List[Int]].withDefaultValue(Nil)
-    ordered.tail.foreach { node =>
-      val vars = node.ownVariables
-      // Attach to the first already-placed node sharing a variable (the
-      // root is scanned first, so early/heavy nodes stay near the top and
-      // later/selective nodes nest below). Disconnected nodes attach to
-      // the root and become cross joins.
-      val parent = placed.indices
-        .find(i => placed(i).ownVariables.intersect(vars).nonEmpty)
-        .getOrElse(0)
-      placed += node
-      childIdx(parent) = childIdx(parent) :+ (placed.length - 1)
+    val ordered = EvalCore.connectedOrder(groupNodes(query, vpOnly))(_.ownVariables, -nodeWeight(_))
+    val parent = ordered.indices.map { i =>
+      (0 until i).find(j => ordered(j).ownVariables.exists(ordered(i).ownVariables)).getOrElse(0)
     }
-
     def rebuild(i: Int): JtNode =
-      placed(i).withChildren(childIdx(i).map(rebuild))
+      ordered(i).withChildren((i + 1 until ordered.size).filter(parent(_) == i).map(rebuild))
 
     JoinTree(rebuild(0), query.effectiveProjection, query.distinct)
   }

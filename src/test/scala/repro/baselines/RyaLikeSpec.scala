@@ -8,6 +8,13 @@ import repro.watdiv.WatDivQueries
 
 class RyaLikeSpec extends SparkSpec {
 
+  /** One written store (three sorted copies) for every on-disk test. */
+  private lazy val dir: String = {
+    val d = Files.createTempDirectory("rya").toString
+    RyaLike.writeTo(TestData.triples, d)
+    d
+  }
+
   for (nq <- WatDivQueries.All) {
     test(s"${nq.name}: Rya-like matches the oracle") {
       TestData.oracleCheck(TestData.rya.query(nq.query), nq.query)
@@ -45,22 +52,16 @@ class RyaLikeSpec extends SparkSpec {
   }
 
   test("parquet write/load round trip answers queries correctly") {
-    val dir = Files.createTempDirectory("rya").toString
-    RyaLike.writeTo(TestData.triples, dir)
     val loaded = RyaLike.loadFrom(spark, dir)
     TestData.oracleCheck(loaded.query(WatDivQueries.S7.query), WatDivQueries.S7.query)
   }
 
   test("the written store has all three index layouts") {
-    val dir = Files.createTempDirectory("rya2").toString
-    RyaLike.writeTo(TestData.triples, dir)
     for (idx <- Seq("spo", "pos", "osp"))
       assert(Files.exists(java.nio.file.Paths.get(s"$dir/$idx")), idx)
   }
 
   test("three index copies triple the footprint of one (Table 1 shape)") {
-    val dir = Files.createTempDirectory("rya3").toString
-    RyaLike.writeTo(TestData.triples, dir)
     val sizes = Seq("spo", "pos", "osp")
       .map(i => repro.util.Timing.dirBytes(java.nio.file.Paths.get(s"$dir/$i")))
     assert(sizes.forall(_ > 0))

@@ -8,6 +8,13 @@ import repro.watdiv.WatDivQueries
 
 class SparqlGxLikeSpec extends SparkSpec {
 
+  /** One written text store for every on-disk test. */
+  private lazy val dir: String = {
+    val d = Files.createTempDirectory("gx").toString
+    SparqlGxLike.writeTo(TestData.triples, d)
+    d
+  }
+
   for (nq <- WatDivQueries.All) {
     test(s"${nq.name}: SPARQLGX-like matches the oracle") {
       TestData.oracleCheck(TestData.sparqlGx.query(nq.query), nq.query)
@@ -39,16 +46,12 @@ class SparqlGxLikeSpec extends SparkSpec {
   }
 
   test("text write/load round trip answers a query correctly") {
-    val dir = Files.createTempDirectory("gx").toString
-    SparqlGxLike.writeTo(TestData.triples, dir)
     val loaded = SparqlGxLike.loadFrom(spark, dir)
     val nq = WatDivQueries.S4
     TestData.oracleCheck(loaded.query(nq.query), nq.query)
   }
 
   test("text storage uses gzip-compressed per-predicate partitions") {
-    val dir = Files.createTempDirectory("gx2").toString
-    SparqlGxLike.writeTo(TestData.triples, dir)
     val sub = new java.io.File(s"$dir/data").listFiles()
       .filter(f => f.isDirectory && f.getName.startsWith("p="))
     assert(sub.length >= 40, s"expected one partition per predicate, got ${sub.length}")

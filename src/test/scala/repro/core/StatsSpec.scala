@@ -70,4 +70,27 @@ class StatsSpec extends SparkSpec {
     val back = Prost.readStats(s"$dir/stats.tsv")
     assert(back == stats)
   }
+
+  test("readStats names the file and line of a malformed line") {
+    val path = java.nio.file.Files.createTempDirectory("stats-bad").resolve("stats.tsv")
+    java.nio.file.Files.writeString(path, "ex:p\t3\t2\t2\n\nex:q\t3\t3\n")
+    val e = intercept[IllegalArgumentException](Prost.readStats(path.toString))
+    assert(e.getMessage.startsWith(s"$path:3:"), e.getMessage)
+    assert(e.getMessage.contains("expected 4 tab-separated fields, found 3"), e.getMessage)
+
+    java.nio.file.Files.writeString(path, "ex:p\t3\ttwo\t2\n")
+    val nonNumeric = intercept[IllegalArgumentException](Prost.readStats(path.toString))
+    assert(nonNumeric.getMessage.startsWith(s"$path:1:"), nonNumeric.getMessage)
+  }
+
+  test("writeStats rejects a predicate holding a tab or line break, naming it") {
+    val dir = java.nio.file.Files.createTempDirectory("stats-reject").toString
+    for (p <- Seq("ex:a\tb", "ex:a\nb")) {
+      val bad = GraphStats(Map(p -> PredicateStats(p, 1, 1, 1)))
+      val e = intercept[IllegalArgumentException](Prost.writeStats(bad, s"$dir/stats.tsv"))
+      val shown = p.replace("\t", "\\t").replace("\n", "\\n")
+      assert(e.getMessage.contains(shown), e.getMessage)
+    }
+    assert(!java.nio.file.Files.exists(java.nio.file.Paths.get(s"$dir/stats.tsv")))
+  }
 }

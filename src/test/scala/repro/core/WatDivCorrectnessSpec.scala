@@ -48,4 +48,24 @@ class WatDivCorrectnessSpec extends SparkSpec {
       assert(vpCount >= tree.nodes.size - 1, s"${nq.name}:\n${tree.pretty}")
     }
   }
+
+  // The Join Tree is the order that runs: when the Executor folds a child
+  // into its parent, the parent's columns so far (its own variables plus
+  // those of the children already folded in) share a variable with it.
+  for (nq <- WatDivQueries.All) {
+    test(s"${nq.name}: every Join-Tree child joins its parent on a shared variable") {
+      val translator = new Translator(TestData.stats)
+      for (vpOnly <- Seq(false, true)) {
+        val tree = translator.translate(nq.query, vpOnly)
+        for (parent <- tree.nodes) {
+          var columns = parent.ownVariables
+          for (child <- parent.children) {
+            assert(columns.exists(child.subtreeVariables),
+              s"vpOnly=$vpOnly: cross join of ${child.patterns.mkString(" ")}\n${tree.pretty}")
+            columns ++= child.subtreeVariables
+          }
+        }
+      }
+    }
+  }
 }
