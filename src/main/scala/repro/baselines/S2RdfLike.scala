@@ -163,13 +163,27 @@ object S2RdfLike {
   /** Open a store written by [[writeTo]]. */
   def loadFrom(spark: SparkSession, dir: String): S2RdfLike = {
     val stats = repro.core.Prost.readStats(s"$dir/stats.tsv")
+    val sizes = readSizes(s"$dir/ext_sizes.tsv")
     val ext = Positions.map(pos => pos -> spark.read.parquet(s"$dir/extvp_$pos")).toMap
-    val sizes = scala.jdk.CollectionConverters.ListHasAsScala(
-      java.nio.file.Files.readAllLines(java.nio.file.Paths.get(s"$dir/ext_sizes.tsv"))
-    ).asScala.filter(_.nonEmpty).map { line =>
-      val Array(pos, p1, p2, n) = line.split("\t")
-      (pos, p1, p2) -> n.toLong
-    }.toMap
     new S2RdfLike(VpStore.load(spark, s"$dir/vp", stats.predicates), stats, ext, sizes)
+  }
+
+  /** Read the ExtVP sizes written by [[writeTo]]; a malformed line fails
+    * with its path and line number, as `Prost.readStats` does.
+    */
+  private def readSizes(path: String): Map[(String, String, String), Long] = {
+    val lines = scala.jdk.CollectionConverters.ListHasAsScala(
+      java.nio.file.Files.readAllLines(java.nio.file.Paths.get(path))).asScala
+    lines.zipWithIndex.filter(_._1.nonEmpty).map { case (line, i) =>
+      def malformed(why: String) = {
+        val shown = line.replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+        throw new IllegalArgumentException(s"$path:${i + 1}: $why: \"$shown\"")
+      }
+      line.split("\t", -1) match {
+        case Array(pos, p1, p2, n) =>
+          (pos, p1, p2) -> n.toLongOption.getOrElse(malformed("size must be an integer"))
+        case fields => malformed(s"expected 4 tab-separated fields, found ${fields.length}")
+      }
+    }.toMap
   }
 }

@@ -30,9 +30,11 @@ object TripleOps {
     df.select(concat_ws("\t", col("s"), col("p"), col("o")) as "value")
       .write.mode("overwrite").text(path)
 
-  /** Read triples written by [[writeText]]. */
+  /** Read triples written by [[writeText]]. The object is everything after
+    * the second tab, so a literal holding tabs is read back whole.
+    */
   def readText(spark: SparkSession, path: String): DataFrame = {
-    val parts = split(col("value"), "\t")
+    val parts = split(col("value"), "\t", 3)
     spark.read.text(path).select(
       parts.getItem(0) as "s",
       parts.getItem(1) as "p",

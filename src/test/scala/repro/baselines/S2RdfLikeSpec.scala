@@ -78,4 +78,28 @@ class S2RdfLikeSpec extends SparkSpec {
     val vpRows = TestData.triples.count()
     assert(extRows > 3 * vpRows, s"extRows=$extRows vpRows=$vpRows")
   }
+
+  /** A store directory whose `ext_sizes.tsv` holds `sizes`; `loadFrom`
+    * reads it before any Parquet table.
+    */
+  private def storeWithSizes(sizes: String): java.nio.file.Path = {
+    val d = Files.createTempDirectory("s2rdf-bad")
+    Files.writeString(d.resolve("stats.tsv"), "")
+    Files.writeString(d.resolve("ext_sizes.tsv"), sizes)
+  }
+
+  test("loadFrom names the file and line of an ext_sizes line with a wrong field count") {
+    val path = storeWithSizes("SS\tex:p\tex:q\t3\n\nOS\tex:p\t3\n")
+    val e = intercept[IllegalArgumentException](S2RdfLike.loadFrom(spark, path.getParent.toString))
+    assert(e.getMessage.startsWith(s"$path:3:"), e.getMessage)
+    assert(e.getMessage.contains("expected 4 tab-separated fields, found 3"), e.getMessage)
+    assert(e.getMessage.contains("\"OS\\tex:p\\t3\""), e.getMessage)
+  }
+
+  test("loadFrom names the file and line of an ext_sizes line with a non-integer size") {
+    val path = storeWithSizes("SS\tex:p\tex:q\tmany\n")
+    val e = intercept[IllegalArgumentException](S2RdfLike.loadFrom(spark, path.getParent.toString))
+    assert(e.getMessage.startsWith(s"$path:1:"), e.getMessage)
+    assert(e.getMessage.contains("size must be an integer"), e.getMessage)
+  }
 }

@@ -1,0 +1,61 @@
+package repro.core
+
+import java.nio.file.Files
+
+import repro.{Oracle, SparkSpec}
+import repro.rdf.TripleOps
+import repro.sparql.{BgpSql, SparqlParser}
+
+/** Predicates whose sanitised names would clash with the Property Table's
+  * own columns — the subject column `s` in either case, the `__` working
+  * columns — or with each other after Spark's case-insensitive resolution.
+  * Every query is checked against DuckDB in both modes, on the in-memory
+  * store and on a written and reopened one.
+  */
+class ReservedNamesSpec extends SparkSpec {
+
+  private lazy val graph = TripleOps.fromSeq(spark, Seq(
+    ("a", "s", "b"),
+    ("a", "s", "c"),
+    ("a", "S", "x"),
+    ("a", "ex:P", "1"),
+    ("a", "ex:p", "2"),
+    ("a", "__pt_0", "z"),
+    ("b", "s", "c"),
+    ("b", "S", "y"),
+    ("b", "ex:P", "1"),
+    ("b", "ex:p", "1"),
+    ("b", "__pt_0", "z"),
+    ("c", "S", "x"),
+    ("c", "ex:p", "2"),
+  ))
+
+  private lazy val inMemory = Prost.loadInMemory(graph)
+
+  private lazy val reopened = {
+    val dir = Files.createTempDirectory("prost-reserved").toString
+    Prost.writeTo(graph, dir)
+    Prost.loadFrom(spark, dir)
+  }
+
+  private val queries = Seq(
+    "SELECT * WHERE { ?x s ?y . ?x S ?z . ?x ex:P ?u . ?x ex:p ?v . ?x __pt_0 ?w }",
+    "SELECT ?x ?z WHERE { ?x ex:P \"1\" . ?x __pt_0 ?w . ?x S ?z }",
+    "SELECT * WHERE { ?x ex:P ?v . ?x ex:p ?v }",
+    "SELECT * WHERE { ?x s ?y . ?y S ?z . ?y ex:p ?v }",
+    "SELECT ?y WHERE { a s ?y . ?y __pt_0 ?w }",
+  )
+
+  for (sparql <- queries; store <- Seq("in memory", "reopened"); vpOnly <- Seq(false, true))
+    test(s"$store, ${if (vpOnly) "VP-only" else "mixed"}: oracle-correct on $sparql") {
+      val db = if (store == "reopened") reopened else inMemory
+      val q = SparqlParser.parse(sparql)
+      Oracle.assertEquivalent(db.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
+    }
+
+  test("the star over every clashing predicate reads the Property Table") {
+    val q = SparqlParser.parse(queries.head)
+    val tree = inMemory.plan(q, vpOnly = false)
+    assert(tree.nodes.exists(_.isInstanceOf[PtJtNode]), tree.pretty)
+  }
+}

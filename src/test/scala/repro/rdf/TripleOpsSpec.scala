@@ -2,7 +2,9 @@ package repro.rdf
 
 import java.nio.file.Files
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
+import repro.core.Prost
+import repro.sparql.{BgpSql, SparqlParser}
 
 class TripleOpsSpec extends SparkSpec {
 
@@ -43,5 +45,29 @@ class TripleOpsSpec extends SparkSpec {
     TripleOps.writeText(sample, s"$dir/t")
     val back = TripleOps.readText(spark, s"$dir/t")
     assert(back.where("p = 'ex:q'").select("o").collect().head.getString(0) == "lit value")
+  }
+
+  test("text round trip keeps literals holding tabs whole, and queries over them are correct") {
+    val dir = Files.createTempDirectory("triples-text3").toString
+    val graph = TripleOps.fromSeq(spark, Seq(
+      ("ex:a", "ex:q", "one\ttwo"),
+      ("ex:b", "ex:q", "one\ttwo\tthree"),
+      ("ex:b", "ex:p", "ex:a"),
+      ("ex:c", "ex:q", "\tlead and trail\t"),
+    ))
+    TripleOps.writeText(graph, s"$dir/t")
+    val back = TripleOps.readText(spark, s"$dir/t")
+    assert(back.collect().map(_.toSeq).toSet == graph.collect().map(_.toSeq).toSet)
+
+    val db = Prost.loadInMemory(back)
+    for (sparql <- Seq(
+           "SELECT * WHERE { ?x ex:q ?v }",
+           "SELECT ?x WHERE { ?x ex:q \"one\ttwo\" }",
+           "SELECT ?x WHERE { ?x ex:q \"one\ttwo\tthree\" }",
+           "SELECT ?y WHERE { ?y ex:p ?x . ?x ex:q \"one\ttwo\" }");
+         vpOnly <- Seq(false, true)) {
+      val q = SparqlParser.parse(sparql)
+      Oracle.assertEquivalent(db.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
+    }
   }
 }

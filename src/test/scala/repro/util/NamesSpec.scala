@@ -2,6 +2,8 @@ package repro.util
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.watdiv.WatDivSchema
+
 class NamesSpec extends AnyFunSuite {
 
   test("colon is replaced") {
@@ -38,5 +40,29 @@ class NamesSpec extends AnyFunSuite {
 
   test("already-clean names pass through") {
     assert(Names.forPredicates(Seq("clean_name"))("clean_name") == "clean_name")
+  }
+
+  private val tricky = Seq("s", "S", "ex:P", "ex:p", "__pt_0", "__props", "p_s")
+
+  test("forPredicates never returns the subject column or a __ name") {
+    for (name <- Names.forPredicates(tricky).values) {
+      assert(!name.equalsIgnoreCase("s"), name)
+      assert(!name.startsWith("__"), name)
+    }
+  }
+
+  test("forPredicates stays injective after case folding") {
+    val names = Names.forPredicates(tricky).values.toSeq
+    assert(names.map(_.toLowerCase).distinct.size == tricky.size, names)
+  }
+
+  test("forPredicates maps reserved and case-variant predicates stably") {
+    assert(Names.forPredicates(Seq("s", "S", "ex:P", "ex:p", "__pt_0")) == Map(
+      "S" -> "p_S", "__pt_0" -> "p___pt_0", "ex:P" -> "ex_P", "ex:p" -> "ex_p_2", "s" -> "p_s_2"))
+  }
+
+  test("WatDiv predicates keep their plain sanitised names") {
+    val m = Names.forPredicates(WatDivSchema.AllPredicates)
+    for (p <- WatDivSchema.AllPredicates) assert(m(p) == p.replace(':', '_'), p)
   }
 }
