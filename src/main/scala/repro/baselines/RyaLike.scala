@@ -70,14 +70,6 @@ object RyaLike {
 
   private val IndexNames = Seq("spo", "pos", "osp")
 
-  /** In-memory build (tests): the three "indexes" are views of the same
-    * DataFrame; a scratch temp dir holds the intermediates.
-    */
-  def build(triples: DataFrame): RyaLike = {
-    val scratch = Files.createTempDirectory("rya-scratch").toString
-    new RyaLike(triples.sparkSession, IndexNames.map(_ -> triples).toMap, scratch)
-  }
-
   /** Rya loading phase (Table 1): three sorted Parquet copies. */
   def writeTo(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()

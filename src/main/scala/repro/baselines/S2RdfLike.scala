@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{EvalCore, GraphStats, VpStore}
+import repro.core.{EvalCore, GraphStats, Prost, Tsv, VpStore}
 import repro.sparql.{BgpQuery, TriplePattern, Var}
 
 /** Behaviour-faithful S2RDF stand-in (Schätzle et al., VLDB 2016).
@@ -76,40 +76,9 @@ object S2RdfLike {
 
   val Positions: Seq[String] = Seq("SS", "SO", "OS")
 
-  /** The ExtVP precomputation, as three bulk self-joins producing
-    * `(p1, p2, s, o)` tables (one per position). Joining against the
-    * *distinct* partner keys makes each output row a semi-join survivor,
-    * no dedup needed.
-    */
-  private def extTables(triples: DataFrame): Map[String, DataFrame] = {
-    val t = triples
-    val bySubject = t.select(col("p") as "p2", col("s") as "k").distinct()
-    val byObject  = t.select(col("p") as "p2", col("o") as "k").distinct()
-    val left = t.select(col("p") as "p1", col("s"), col("o"))
-    Map(
-      "SS" -> left.join(bySubject, left("s") === bySubject("k") && col("p1") =!= col("p2"))
-                  .select("p1", "p2", "s", "o"),
-      "SO" -> left.join(byObject, left("s") === byObject("k"))
-                  .select("p1", "p2", "s", "o"),
-      "OS" -> left.join(bySubject, left("o") === bySubject("k"))
-                  .select("p1", "p2", "s", "o"),
-    )
-  }
-
-  private def sizesOf(ext: Map[String, DataFrame]): Map[(String, String, String), Long] =
-    ext.flatMap { case (pos, df) =>
-      df.groupBy("p1", "p2").count().collect()
-        .map(r => (pos, r.getString(0), r.getString(1)) -> r.getLong(2))
-    }
-
-  /** In-memory build (tests): lazy views; the ExtVP sizes still have to be
-    * computed eagerly because table selection needs them.
-    */
-  def build(triples: DataFrame): S2RdfLike = {
-    val stats = GraphStats.compute(triples)
-    val ext = extTables(triples).map { case (k, df) => k -> df.cache() }
-    new S2RdfLike(VpStore.build(triples, stats), stats, ext, sizesOf(ext))
-  }
+  /** The ExtVP family of one position, as written by [[writeTo]]. */
+  private def readExt(spark: SparkSession, dir: String, pos: String): DataFrame =
+    VpStore.readAsStrings(spark, "s", "o", "p1", "p2").parquet(s"$dir/extvp_$pos")
 
   /** S2RDF loading phase (the Table 1 cost): VP Parquet + the three ExtVP
     * families + stats + size metadata.
@@ -118,7 +87,9 @@ object S2RdfLike {
     * predicate at a time** (S2RDF issues one SQL job per ExtVP table
     * family) — this per-table job storm, not the byte volume, is what
     * makes its loading phase an order of magnitude slower than everyone
-    * else's in the paper's Table 1.
+    * else's in the paper's Table 1. Joining against the *distinct*
+    * partner keys makes each output row a semi-join survivor, no dedup
+    * needed.
     */
   def writeTo(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
@@ -145,45 +116,28 @@ object S2RdfLike {
       append("OS", left.join(bySubject, left("o") === bySubject("k")))
     }
     bySubject.unpersist(); byObject.unpersist()
-    val loadedExt = Positions.map(pos =>
-      pos -> cached.sparkSession.read.parquet(s"$dir/extvp_$pos")).toMap
-    val sizes = sizesOf(loadedExt)
-    val sizeLines = sizes.toSeq.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
-      s"$pos\t$p1\t$p2\t$n"
+    val sizes = Positions.flatMap { pos =>
+      readExt(cached.sparkSession, dir, pos).groupBy("p1", "p2").count().collect()
+        .map(r => (pos, r.getString(0), r.getString(1)) -> r.getLong(2))
     }
-    java.nio.file.Files.write(
-      java.nio.file.Paths.get(s"$dir/ext_sizes.tsv"),
-      scala.jdk.CollectionConverters.SeqHasAsJava(sizeLines).asJava,
-      java.nio.charset.StandardCharsets.UTF_8)
-    repro.core.Prost.writeStats(stats, s"$dir/stats.tsv")
+    Tsv.write(s"$dir/ext_sizes.tsv", sizes.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
+      Seq(pos, p1, p2, n.toString)
+    })
+    Prost.writeStats(stats, s"$dir/stats.tsv")
     cached.unpersist()
     ()
   }
 
-  /** Open a store written by [[writeTo]]. */
-  def loadFrom(spark: SparkSession, dir: String): S2RdfLike = {
-    val stats = repro.core.Prost.readStats(s"$dir/stats.tsv")
-    val sizes = readSizes(s"$dir/ext_sizes.tsv")
-    val ext = Positions.map(pos => pos -> spark.read.parquet(s"$dir/extvp_$pos")).toMap
-    new S2RdfLike(VpStore.load(spark, s"$dir/vp", stats.predicates), stats, ext, sizes)
-  }
-
-  /** Read the ExtVP sizes written by [[writeTo]]; a malformed line fails
-    * with its path and line number, as `Prost.readStats` does.
+  /** Open a store written by [[writeTo]]. The ExtVP sizes are read first:
+    * a malformed line fails with its path and line number, as
+    * `Prost.readStats` does.
     */
-  private def readSizes(path: String): Map[(String, String, String), Long] = {
-    val lines = scala.jdk.CollectionConverters.ListHasAsScala(
-      java.nio.file.Files.readAllLines(java.nio.file.Paths.get(path))).asScala
-    lines.zipWithIndex.filter(_._1.nonEmpty).map { case (line, i) =>
-      def malformed(why: String) = {
-        val shown = line.replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
-        throw new IllegalArgumentException(s"$path:${i + 1}: $why: \"$shown\"")
-      }
-      line.split("\t", -1) match {
-        case Array(pos, p1, p2, n) =>
-          (pos, p1, p2) -> n.toLongOption.getOrElse(malformed("size must be an integer"))
-        case fields => malformed(s"expected 4 tab-separated fields, found ${fields.length}")
-      }
+  def loadFrom(spark: SparkSession, dir: String): S2RdfLike = {
+    val stats = Prost.readStats(s"$dir/stats.tsv")
+    val sizes = Tsv.read(s"$dir/ext_sizes.tsv", 4) { case Array(pos, p1, p2, n) =>
+      n.toLongOption.map((pos, p1, p2) -> _).toRight("size must be an integer")
     }.toMap
+    val ext = Positions.map(pos => pos -> readExt(spark, dir, pos)).toMap
+    new S2RdfLike(VpStore.load(spark, s"$dir/vp"), stats, ext, sizes)
   }
 }

@@ -2,10 +2,10 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, concat_ws}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
-import repro.core.{EvalCore, GraphStats}
+import repro.core.{EvalCore, GraphStats, Prost, VpStore}
 import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
@@ -21,14 +21,18 @@ import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
   *     counts, selective (constant-carrying) patterns first, connectivity
   *     maintained greedily.
   */
-final class SparqlGxLike(
-    spark: SparkSession,
-    tables: Map[String, RDD[(String, String)]],
-    counts: Map[String, Long],
-) {
+final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
 
-  private def emptyRdd: RDD[(String, String)] =
-    spark.sparkContext.emptyRDD[(String, String)]
+  /** One predicate's `(s, o)` pairs: partition pruning limits the read to
+    * its own gzip files (none for an unknown predicate); from there on
+    * everything is RDD-level, as in SPARQLGX's generated code.
+    */
+  private def tableFor(predicate: String): RDD[(String, String)] =
+    data.where(col("p") === predicate).select("value").rdd.map { r =>
+      val line = r.getString(0)
+      val i = line.indexOf('\t')
+      (line.substring(0, i), line.substring(i + 1))
+    }
 
   /** SPARQLGX's join ordering: ascending estimated size; constants shrink
     * the estimate sharply; each next pattern must share a variable with
@@ -38,7 +42,7 @@ final class SparqlGxLike(
     EvalCore.connectedOrder(patterns)(_.variables, weight)
 
   private def weight(tp: TriplePattern): Double = {
-    var w = counts.getOrElse(tp.p.value, 0L).toDouble
+    var w = stats(tp.p.value).tripleCount.toDouble
     if (!tp.s.isVariable) w *= 0.01
     if (!tp.o.isVariable) w *= 0.01
     w
@@ -46,8 +50,7 @@ final class SparqlGxLike(
 
   /** Evaluate one pattern to an RDD of variable bindings. */
   private def evalPattern(tp: TriplePattern): RDD[Map[String, String]] = {
-    val base = tables.getOrElse(tp.p.value, emptyRdd)
-    val filtered = base.filter { case (s, o) =>
+    val filtered = tableFor(tp.p.value).filter { case (s, o) =>
       (tp.s match { case Iri(c) => s == c; case Lit(c) => s == c; case _: Var => true }) &&
       (tp.o match { case Iri(c) => o == c; case Lit(c) => o == c; case _: Var => true }) &&
       (tp.s match { case v: Var if tp.o == v => s == o; case _ => true })
@@ -89,23 +92,12 @@ final class SparqlGxLike(
     val proj = q.effectiveProjection.map(_.name)
     val rows = acc.map(m => Row.fromSeq(proj.map(m)))
     val schema = StructType(proj.map(StructField(_, StringType)))
-    val df = spark.createDataFrame(rows, schema)
+    val df = data.sparkSession.createDataFrame(rows, schema)
     if (q.distinct) df.distinct() else df
   }
 }
 
 object SparqlGxLike {
-
-  /** In-memory build (tests): RDD views over the triples DataFrame. */
-  def build(triples: DataFrame): SparqlGxLike = {
-    val spark = triples.sparkSession
-    val stats = GraphStats.compute(triples)
-    val tables = stats.predicates.map { p =>
-      p -> triples.where(col("p") === p).select("s", "o")
-        .rdd.map(r => (r.getString(0), r.getString(1)))
-    }.toMap
-    new SparqlGxLike(spark, tables, stats.predicates.map(p => p -> stats(p).tripleCount).toMap)
-  }
 
   /** SPARQLGX loading phase: per-predicate gzip **text** directories (one
     * partitioned write) + a stats file. This is the path timed/measured for
@@ -114,31 +106,19 @@ object SparqlGxLike {
   def writeTo(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
+    VpStore.requirePartitionable(stats, dir)
     cached
-      .select(org.apache.spark.sql.functions.concat_ws("\t", col("s"), col("o")) as "value",
-              col("p"))
+      .select(concat_ws("\t", col("s"), col("o")) as "value", col("p"))
       .repartition(col("p"))
       .write.mode("overwrite").partitionBy("p").option("compression", "gzip")
       .text(s"$dir/data")
-    repro.core.Prost.writeStats(stats, s"$dir/stats.tsv")
+    Prost.writeStats(stats, s"$dir/stats.tsv")
     cached.unpersist()
     ()
   }
 
-  /** Open a store written by [[writeTo]]. Partition pruning limits each
-    * predicate's RDD to its own gzip files; from there on everything is
-    * RDD-level, as in SPARQLGX's generated code.
-    */
-  def loadFrom(spark: SparkSession, dir: String): SparqlGxLike = {
-    val stats = repro.core.Prost.readStats(s"$dir/stats.tsv")
-    val data = spark.read.text(s"$dir/data")
-    val tables = stats.predicates.map { p =>
-      p -> data.where(col("p") === p).select("value").rdd.map { r =>
-        val line = r.getString(0)
-        val i = line.indexOf('\t')
-        (line.substring(0, i), line.substring(i + 1))
-      }
-    }.toMap
-    new SparqlGxLike(spark, tables, stats.predicates.map(p => p -> stats(p).tripleCount).toMap)
-  }
+  /** Open a store written by [[writeTo]]. */
+  def loadFrom(spark: SparkSession, dir: String): SparqlGxLike =
+    new SparqlGxLike(VpStore.readAsStrings(spark, "value", "p").text(s"$dir/data"),
+      Prost.readStats(s"$dir/stats.tsv"))
 }

@@ -9,9 +9,6 @@ import org.apache.spark.sql.functions._
   */
 object TripleOps {
 
-  /** Column names of the canonical triple layout. */
-  val Columns: Seq[String] = Seq("s", "p", "o")
-
   /** Build a triples DataFrame from an in-memory sequence (tests). */
   def fromSeq(spark: SparkSession, triples: Seq[(String, String, String)]): DataFrame = {
     import spark.implicits._
@@ -41,10 +38,4 @@ object TripleOps {
       parts.getItem(2) as "o",
     )
   }
-
-  /** Distinct predicates of a graph, collected to the driver (the
-    * predicate set is small — tens of entries — by RDF-schema nature).
-    */
-  def predicates(df: DataFrame): Seq[String] =
-    df.select("p").distinct().collect().map(_.getString(0)).toSeq.sorted
 }

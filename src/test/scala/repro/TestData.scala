@@ -1,5 +1,9 @@
 package repro
 
+import java.nio.file.{Files, Path}
+
+import scala.jdk.StreamConverters._
+
 import org.apache.spark.sql.DataFrame
 
 import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
@@ -8,9 +12,10 @@ import repro.sparql.{BgpQuery, BgpSql}
 import repro.watdiv.WatDivGen
 
 /** Shared fixtures for the whole test run: one small WatDiv-like graph and
-  * one instance of every engine, all lazily built against the shared
-  * SparkSession, so the expensive parts (generation, PT aggregation,
-  * ExtVP precomputation) run once per JVM.
+  * one store of every engine, written by the engine's `writeTo` and opened
+  * by its `loadFrom` — the path the benchmarks run. Everything is lazy and
+  * built once per JVM, so the expensive parts (generation, PT aggregation,
+  * the per-predicate ExtVP write) run once.
   */
 object TestData {
 
@@ -18,6 +23,29 @@ object TestData {
     * small enough for the DuckDB oracle to ingest per assertion.
     */
   val Scale = 0.05
+
+  /** The directory every test writes under, deleted when the JVM exits. */
+  lazy val root: Path = {
+    val r = Files.createTempDirectory("repro-test")
+    sys.addShutdownHook {
+      Files.walk(r).toScala(Seq).reverse.foreach(Files.deleteIfExists)
+    }
+    r
+  }
+
+  /** A new empty directory under [[root]]. */
+  def freshDir(prefix: String): String = Files.createTempDirectory(root, prefix).toString
+
+  /** `graph` written by `writeTo` into a new directory; returns it. */
+  def write(graph: DataFrame, prefix: String)(writeTo: (DataFrame, String) => Any): String = {
+    val dir = freshDir(prefix)
+    writeTo(graph, dir)
+    dir
+  }
+
+  /** `graph` written by PRoST's `writeTo` and reopened by its `loadFrom`. */
+  def prostStore(graph: DataFrame): ProstDb =
+    Prost.loadFrom(graph.sparkSession, write(graph, "prost")(Prost.writeTo))
 
   lazy val triples: DataFrame = {
     val df = WatDivGen.generate(SparkSpec.shared, Scale).cache()
@@ -27,13 +55,18 @@ object TestData {
 
   lazy val stats: GraphStats = GraphStats.compute(triples)
 
-  lazy val prost: ProstDb = Prost.loadInMemory(triples)
+  lazy val prostDir: String = write(triples, "prost")(Prost.writeTo)
+  lazy val sparqlGxDir: String = write(triples, "gx")(SparqlGxLike.writeTo)
+  lazy val s2rdfDir: String = write(triples, "s2rdf")(S2RdfLike.writeTo)
+  lazy val ryaDir: String = write(triples, "rya")(RyaLike.writeTo)
 
-  lazy val sparqlGx: SparqlGxLike = SparqlGxLike.build(triples)
+  lazy val prost: ProstDb = Prost.loadFrom(SparkSpec.shared, prostDir)
 
-  lazy val s2rdf: S2RdfLike = S2RdfLike.build(triples)
+  lazy val sparqlGx: SparqlGxLike = SparqlGxLike.loadFrom(SparkSpec.shared, sparqlGxDir)
 
-  lazy val rya: RyaLike = RyaLike.build(triples)
+  lazy val s2rdf: S2RdfLike = S2RdfLike.loadFrom(SparkSpec.shared, s2rdfDir)
+
+  lazy val rya: RyaLike = RyaLike.loadFrom(SparkSpec.shared, ryaDir)
 
   /** Assert `result` matches DuckDB's answer for `query` over the shared
     * graph — the central correctness check of the reproduction.

@@ -8,12 +8,8 @@ import repro.watdiv.WatDivQueries
 
 class RyaLikeSpec extends SparkSpec {
 
-  /** One written store (three sorted copies) for every on-disk test. */
-  private lazy val dir: String = {
-    val d = Files.createTempDirectory("rya").toString
-    RyaLike.writeTo(TestData.triples, d)
-    d
-  }
+  /** The shared written store (three sorted copies). */
+  private lazy val dir: String = TestData.ryaDir
 
   for (nq <- WatDivQueries.All) {
     test(s"${nq.name}: Rya-like matches the oracle") {

@@ -10,14 +10,10 @@ import repro.watdiv.WatDivQueries
 
 class S2RdfLikeSpec extends SparkSpec {
 
-  /** One written store for every on-disk test: the per-predicate ExtVP
-    * write is the slowest step of the whole suite.
+  /** The shared written store: the per-predicate ExtVP write is the
+    * slowest step of the whole suite.
     */
-  private lazy val dir: String = {
-    val d = Files.createTempDirectory("s2rdf").toString
-    S2RdfLike.writeTo(TestData.triples, d)
-    d
-  }
+  private lazy val dir: String = TestData.s2rdfDir
 
   for (nq <- WatDivQueries.All) {
     test(s"${nq.name}: S2RDF-like matches the oracle") {
@@ -83,7 +79,7 @@ class S2RdfLikeSpec extends SparkSpec {
     * reads it before any Parquet table.
     */
   private def storeWithSizes(sizes: String): java.nio.file.Path = {
-    val d = Files.createTempDirectory("s2rdf-bad")
+    val d = java.nio.file.Paths.get(TestData.freshDir("s2rdf-bad"))
     Files.writeString(d.resolve("stats.tsv"), "")
     Files.writeString(d.resolve("ext_sizes.tsv"), sizes)
   }

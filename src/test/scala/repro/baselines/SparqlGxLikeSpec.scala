@@ -1,19 +1,13 @@
 package repro.baselines
 
-import java.nio.file.Files
-
 import repro.{SparkSpec, TestData}
 import repro.sparql.SparqlParser
 import repro.watdiv.WatDivQueries
 
 class SparqlGxLikeSpec extends SparkSpec {
 
-  /** One written text store for every on-disk test. */
-  private lazy val dir: String = {
-    val d = Files.createTempDirectory("gx").toString
-    SparqlGxLike.writeTo(TestData.triples, d)
-    d
-  }
+  /** The shared written text store. */
+  private lazy val dir: String = TestData.sparqlGxDir
 
   for (nq <- WatDivQueries.All) {
     test(s"${nq.name}: SPARQLGX-like matches the oracle") {

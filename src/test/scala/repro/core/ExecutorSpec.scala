@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestData}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpSql, SparqlParser}
 
@@ -35,7 +35,7 @@ class ExecutorSpec extends SparkSpec {
     ("u1", "ex:self", "u2"),
   ))
 
-  private lazy val db = Prost.loadInMemory(graph)
+  private lazy val db = TestData.prostStore(graph)
 
   private def check(sparql: String): Unit = {
     val q = SparqlParser.parse(sparql)

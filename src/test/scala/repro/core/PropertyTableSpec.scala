@@ -1,7 +1,5 @@
 package repro.core
 
-import java.nio.file.Files
-
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, StringType}
 
@@ -61,7 +59,7 @@ class PropertyTableSpec extends SparkSpec {
   }
 
   test("parquet write/load round trip preserves shape and content") {
-    val dir = Files.createTempDirectory("pt").toString
+    val dir = repro.TestData.freshDir("pt")
     PropertyTable.write(pt, s"$dir/pt")
     val loaded = PropertyTable.load(spark, s"$dir/pt", stats.predicates,
       stats.predicates.filter(stats(_).isMultiValued).toSet)

@@ -8,8 +8,8 @@ import repro.watdiv.WatDivQueries
 /** The on-disk loading phase: write VP + PT + stats, reopen, query. */
 class ProstPersistenceSpec extends SparkSpec {
 
-  private lazy val dir = Files.createTempDirectory("prost-db").toString
-  private lazy val persisted: ProstDb = Prost.writeTo(TestData.triples, dir)
+  private lazy val dir = TestData.prostDir
+  private lazy val persisted: ProstDb = TestData.prost
 
   test("writeTo creates the vp, pt and stats artefacts") {
     persisted // force
@@ -22,7 +22,7 @@ class ProstPersistenceSpec extends SparkSpec {
     assert(persisted.stats == TestData.stats)
   }
 
-  test("a reopened database answers queries identically to the in-memory one") {
+  test("opening the same store twice answers queries identically") {
     val reopened = Prost.loadFrom(spark, dir)
     val q = WatDivQueries.S3.query
     val a = persisted.query(q, vpOnly = false).collect().map(_.toSeq).toSeq

@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestData}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, BgpSql, Iri, Lit, TriplePattern, Var}
 
@@ -28,7 +28,7 @@ class RandomBgpSpec extends SparkSpec {
     } yield (s, p, if (rnd.nextBoolean()) subjects(rnd.nextInt(12)) else s"lit${rnd.nextInt(5)}")
   })
 
-  private lazy val db = Prost.loadInMemory(graph)
+  private lazy val db = TestData.prostStore(graph)
 
   private val genVar: Gen[Var] = Gen.oneOf("a", "b", "c", "d").map(Var(_))
   private val genTerm: Gen[repro.sparql.Term] = Gen.frequency(

@@ -1,16 +1,14 @@
 package repro.core
 
-import java.nio.file.Files
-
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestData}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpSql, SparqlParser}
 
 /** Predicates whose sanitised names would clash with the Property Table's
   * own columns — the subject column `s` in either case, the `__` working
   * columns — or with each other after Spark's case-insensitive resolution.
-  * Every query is checked against DuckDB in both modes, on the in-memory
-  * store and on a written and reopened one.
+  * Every query is checked against DuckDB in both modes, on a written and
+  * reopened store.
   */
 class ReservedNamesSpec extends SparkSpec {
 
@@ -30,13 +28,7 @@ class ReservedNamesSpec extends SparkSpec {
     ("c", "ex:p", "2"),
   ))
 
-  private lazy val inMemory = Prost.loadInMemory(graph)
-
-  private lazy val reopened = {
-    val dir = Files.createTempDirectory("prost-reserved").toString
-    Prost.writeTo(graph, dir)
-    Prost.loadFrom(spark, dir)
-  }
+  private lazy val reopened = TestData.prostStore(graph)
 
   private val queries = Seq(
     "SELECT * WHERE { ?x s ?y . ?x S ?z . ?x ex:P ?u . ?x ex:p ?v . ?x __pt_0 ?w }",
@@ -46,16 +38,15 @@ class ReservedNamesSpec extends SparkSpec {
     "SELECT ?y WHERE { a s ?y . ?y __pt_0 ?w }",
   )
 
-  for (sparql <- queries; store <- Seq("in memory", "reopened"); vpOnly <- Seq(false, true))
-    test(s"$store, ${if (vpOnly) "VP-only" else "mixed"}: oracle-correct on $sparql") {
-      val db = if (store == "reopened") reopened else inMemory
+  for (sparql <- queries; vpOnly <- Seq(false, true))
+    test(s"reopened, ${if (vpOnly) "VP-only" else "mixed"}: oracle-correct on $sparql") {
       val q = SparqlParser.parse(sparql)
-      Oracle.assertEquivalent(db.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
+      Oracle.assertEquivalent(reopened.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
     }
 
   test("the star over every clashing predicate reads the Property Table") {
     val q = SparqlParser.parse(queries.head)
-    val tree = inMemory.plan(q, vpOnly = false)
+    val tree = reopened.plan(q, vpOnly = false)
     assert(tree.nodes.exists(_.isInstanceOf[PtJtNode]), tree.pretty)
   }
 }

@@ -1,8 +1,6 @@
 package repro.core
 
-import java.nio.file.Files
-
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.rdf.TripleOps
 
 class VpStoreSpec extends SparkSpec {
@@ -13,7 +11,7 @@ class VpStoreSpec extends SparkSpec {
     ("ex:a", "ex:q", "1"),
   ))
   private lazy val stats = GraphStats.compute(graph)
-  private lazy val store = VpStore.build(graph, stats)
+  private lazy val store = TestData.prostStore(graph).vp
 
   test("one table per predicate with the right rows") {
     assert(store.tableFor("ex:p").count() == 2)
@@ -30,25 +28,21 @@ class VpStoreSpec extends SparkSpec {
     assert(t.count() == 0)
   }
 
-  test("predicates lists the stored tables") {
-    assert(store.predicates == Seq("ex:p", "ex:q"))
-  }
-
   test("rows are the (subject, object) pairs of that predicate") {
     val rows = store.tableFor("ex:p").collect().map(r => (r.getString(0), r.getString(1))).toSet
     assert(rows == Set(("ex:a", "ex:x"), ("ex:b", "ex:y")))
   }
 
   test("parquet write/load round trip") {
-    val dir = Files.createTempDirectory("vp").toString
+    val dir = TestData.freshDir("vp")
     VpStore.write(graph, stats, dir)
-    val loaded = VpStore.load(spark, dir, stats.predicates)
+    val loaded = VpStore.load(spark, dir)
     assert(loaded.tableFor("ex:p").count() == 2)
     assert(loaded.tableFor("ex:q").collect().head.getString(1) == "1")
   }
 
   test("written layout has one partition directory per predicate") {
-    val dir = Files.createTempDirectory("vp2").toString
+    val dir = TestData.freshDir("vp")
     VpStore.write(graph, stats, dir)
     val subdirs = new java.io.File(dir).listFiles().filter(_.isDirectory).map(_.getName)
     assert(subdirs.count(_.startsWith("p=")) == 2, subdirs.mkString(", "))

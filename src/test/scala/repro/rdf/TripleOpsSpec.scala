@@ -1,9 +1,6 @@
 package repro.rdf
 
-import java.nio.file.Files
-
-import repro.{Oracle, SparkSpec}
-import repro.core.Prost
+import repro.{Oracle, SparkSpec, TestData}
 import repro.sparql.{BgpSql, SparqlParser}
 
 class TripleOpsSpec extends SparkSpec {
@@ -28,12 +25,8 @@ class TripleOpsSpec extends SparkSpec {
     assert(TripleOps.canonical(reordered).columns.toSeq == Seq("s", "p", "o"))
   }
 
-  test("predicates are distinct and sorted") {
-    assert(TripleOps.predicates(sample) == Seq("ex:p", "ex:q"))
-  }
-
   test("text round trip preserves the graph") {
-    val dir = Files.createTempDirectory("triples-text").toString
+    val dir = TestData.freshDir("triples-text")
     val canon = TripleOps.canonical(sample)
     TripleOps.writeText(canon, s"$dir/t")
     val back = TripleOps.readText(spark, s"$dir/t")
@@ -41,14 +34,14 @@ class TripleOpsSpec extends SparkSpec {
   }
 
   test("text round trip keeps literals with spaces intact") {
-    val dir = Files.createTempDirectory("triples-text2").toString
+    val dir = TestData.freshDir("triples-text")
     TripleOps.writeText(sample, s"$dir/t")
     val back = TripleOps.readText(spark, s"$dir/t")
     assert(back.where("p = 'ex:q'").select("o").collect().head.getString(0) == "lit value")
   }
 
   test("text round trip keeps literals holding tabs whole, and queries over them are correct") {
-    val dir = Files.createTempDirectory("triples-text3").toString
+    val dir = TestData.freshDir("triples-text")
     val graph = TripleOps.fromSeq(spark, Seq(
       ("ex:a", "ex:q", "one\ttwo"),
       ("ex:b", "ex:q", "one\ttwo\tthree"),
@@ -59,7 +52,7 @@ class TripleOpsSpec extends SparkSpec {
     val back = TripleOps.readText(spark, s"$dir/t")
     assert(back.collect().map(_.toSeq).toSet == graph.collect().map(_.toSeq).toSet)
 
-    val db = Prost.loadInMemory(back)
+    val db = TestData.prostStore(back)
     for (sparql <- Seq(
            "SELECT * WHERE { ?x ex:q ?v }",
            "SELECT ?x WHERE { ?x ex:q \"one\ttwo\" }",
