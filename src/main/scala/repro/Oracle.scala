@@ -62,7 +62,7 @@ object Oracle {
         .toSeq
       val sCols = sparkDf.columns.toSeq
       require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+        dCols.sorted == sCols.sorted,
         s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
       val got = canon(sparkDf.collect().toSeq, sCols)

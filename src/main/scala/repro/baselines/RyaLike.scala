@@ -1,6 +1,8 @@
 package repro.baselines
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path, Paths}
+
+import scala.jdk.StreamConverters._
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
@@ -27,7 +29,7 @@ import repro.sparql.{BgpQuery, TriplePattern}
 final class RyaLike(
     spark: SparkSession,
     indexes: Map[String, DataFrame], // "spo" | "pos" | "osp" -> (s, p, o)
-    scratchDir: String,
+    private[baselines] val scratchDir: String,
 ) {
 
   /** Rya-style index selection from the pattern's bound positions. */
@@ -47,11 +49,13 @@ final class RyaLike(
     EvalCore.connectedOrder(patterns)(_.variables, tp => -Seq(tp.s, tp.o).count(!_.isVariable).toDouble)
 
   /** Materialise a DataFrame to the scratch dir and read it back — the
-    * disk round-trip that models Accumulo's join pipeline.
+    * disk round-trip that models Accumulo's join pipeline. Once a step is
+    * written nothing reads the step before it, so that one is deleted.
     */
   private def materialize(df: DataFrame, step: Int, queryId: String): DataFrame = {
     val path = s"$scratchDir/$queryId/step_$step"
     df.write.mode("overwrite").parquet(path)
+    RyaLike.deleteTree(Paths.get(s"$scratchDir/$queryId/step_${step - 1}"))
     spark.read.parquet(path)
   }
 
@@ -82,10 +86,17 @@ object RyaLike {
     ()
   }
 
-  /** Open a store written by [[writeTo]]. */
+  /** Open a store written by [[writeTo]]; its scratch directory is
+    * deleted when the JVM exits.
+    */
   def loadFrom(spark: SparkSession, dir: String): RyaLike = {
-    val scratch = Files.createTempDirectory("rya-scratch").toString
+    val scratch = Files.createTempDirectory("rya-scratch")
+    sys.addShutdownHook(deleteTree(scratch))
     val idx = IndexNames.map(n => n -> spark.read.parquet(s"$dir/$n")).toMap
-    new RyaLike(spark, idx, scratch)
+    new RyaLike(spark, idx, scratch.toString)
   }
+
+  /** Delete `path` and everything under it; a missing path is a no-op. */
+  private def deleteTree(path: Path): Unit =
+    if (Files.exists(path)) Files.walk(path).toScala(Seq).reverse.foreach(Files.deleteIfExists)
 }

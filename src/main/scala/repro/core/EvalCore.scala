@@ -1,45 +1,41 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.sparql.{Iri, Lit, TriplePattern, Var}
+import repro.sparql.{Iri, Lit, Term, TriplePattern, Var}
 
-/** The evaluation steps PRoST and the baselines share: binding one triple
-  * pattern against an `(s, o)` table, joining bindings on their shared
+/** The evaluation steps PRoST and the baselines share: binding triple
+  * patterns against the columns of a table, joining bindings on their shared
   * variables, the greedy connected join order, and the final projection.
   * Each engine supplies the table a pattern reads and the weight that
   * drives the order.
   */
 object EvalCore {
 
-  /** Bindings of `tp` over its `(s, o)` table: constants become filters, a
-    * repeated variable (`?x p ?x`) an `s = o` filter, and every variable a
-    * column named after it.
+  /** Bindings of `tp` over its `(s, o)` table. */
+  def bind(table: DataFrame, tp: TriplePattern): DataFrame =
+    bind(table, Seq(tp.s -> col("s"), tp.o -> col("o")))
+
+  /** Bindings of one row's `(term, column)` positions: a constant becomes
+    * an equality filter, a variable's first position its output column
+    * named after it, and each later position of the same variable an
+    * equality filter against that first one.
     */
-  def bind(table: DataFrame, tp: TriplePattern): DataFrame = {
-    val filtered = (tp.s, tp.o) match {
-      case (sv: Var, ov: Var) if sv == ov => table.where(col("s") === col("o"))
-      case _                               => table
+  def bind(table: DataFrame, positions: Seq[(Term, Column)]): DataFrame = {
+    val (outputs, filters) = positions.foldLeft((Vector.empty[(Var, Column)], Vector.empty[Column])) {
+      case ((out, fs), (v: Var, c)) => out.collectFirst { case (`v`, first) => first } match {
+        case Some(first) => (out, fs :+ (c === first))
+        case None        => (out :+ (v -> c), fs)
+      }
+      case ((out, fs), (Iri(k), c)) => (out, fs :+ (c === k))
+      case ((out, fs), (Lit(k), c)) => (out, fs :+ (c === k))
     }
-    val withS = tp.s match {
-      case _: Var   => filtered
-      case Iri(c)   => filtered.where(col("s") === c)
-      case Lit(c)   => filtered.where(col("s") === c)
-    }
-    val withO = tp.o match {
-      case _: Var   => withS
-      case Iri(c)   => withS.where(col("o") === c)
-      case Lit(c)   => withS.where(col("o") === c)
-    }
-    val cols = Seq(
-      tp.s match { case Var(n) => Some(col("s") as n); case _ => None },
-      tp.o match { case Var(n) if tp.o != tp.s => Some(col("o") as n); case _ => None },
-    ).flatten
-    // A fully-ground pattern binds nothing but still constrains: keep a
-    // marker column so the row count (0 or 1) survives the projection.
-    if (cols.isEmpty) withO.select(lit(true) as s"__ground_${tp.p.value.hashCode.abs}")
-    else withO.select(cols: _*)
+    val filtered = filters.foldLeft(table)(_ where _)
+    // Positions without a variable bind nothing but still constrain: keep
+    // a marker column so the row count (0 or 1) survives the projection.
+    if (outputs.isEmpty) filtered.select(lit(true) as "__ground")
+    else filtered.select(outputs.map { case (v, c) => c as v.name }: _*)
   }
 
   /** Inner join on the columns both sides bind; a cross join when they

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.util.Names
@@ -26,12 +26,14 @@ final case class PropertyTable(
     df: DataFrame,
     columnFor: Map[String, String],
     multiValued: Set[String],
-) {
-  /** True if the PT has a column for `predicate`. */
-  def hasColumn(predicate: String): Boolean = columnFor.contains(predicate)
-}
+)
 
 object PropertyTable {
+
+  /** `df` with the column names and list columns the stats imply. */
+  def apply(df: DataFrame, stats: GraphStats): PropertyTable =
+    PropertyTable(df, Names.forPredicates(stats.predicates),
+                  stats.predicates.filter(stats(_).isMultiValued).toSet)
 
   /** Build the PT with a single aggregation pass — one
     * `collect_list(struct(p, o))` per subject, then row-local array
@@ -40,21 +42,18 @@ object PropertyTable {
     * significant overhead").
     */
   def build(triples: DataFrame, stats: GraphStats): PropertyTable = {
-    val preds = stats.predicates
-    val names = Names.forPredicates(preds)
     val wide = triples.groupBy(col("s"))
       .agg(collect_list(struct(col("p"), col("o"))) as "__props")
-    val multi = preds.filter(stats(_).isMultiValued).toSet
-    val shaped = wide.select(
-      col("s") +: preds.map { p =>
+    val layout = PropertyTable(wide, stats)
+    layout.copy(df = wide.select(
+      col("s") +: stats.predicates.map { p =>
         val values = transform(
           filter(col("__props"), x => x.getField("p") === p),
           x => x.getField("o"))
-        if (multi.contains(p)) values.as(names(p))
-        else try_element_at(values, lit(1)).as(names(p)) // NULL when absent
+        if (layout.multiValued.contains(p)) values.as(layout.columnFor(p))
+        else try_element_at(values, lit(1)).as(layout.columnFor(p)) // NULL when absent
       }: _*
-    )
-    PropertyTable(shaped, names, multi)
+    ))
   }
 
   /** Write the PT as Parquet. The paper's horizontal partitioning on the
@@ -65,10 +64,9 @@ object PropertyTable {
   def write(pt: PropertyTable, dir: String): Unit =
     pt.df.write.mode("overwrite").parquet(dir)
 
-  /** Load a PT written by [[write]]; `predicates`/`multiValued` come from
-    * the stats metadata persisted alongside.
+  /** Load a PT written by [[write]]; its layout comes from the stats
+    * persisted alongside.
     */
-  def load(spark: SparkSession, dir: String, predicates: Seq[String],
-           multiValued: Set[String]): PropertyTable =
-    PropertyTable(spark.read.parquet(dir), Names.forPredicates(predicates), multiValued)
+  def load(spark: SparkSession, dir: String, stats: GraphStats): PropertyTable =
+    PropertyTable(spark.read.parquet(dir), stats)
 }

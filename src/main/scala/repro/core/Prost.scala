@@ -57,11 +57,10 @@ object Prost {
   /** Open a database previously written by [[writeTo]]. */
   def loadFrom(spark: SparkSession, dir: String): ProstDb = {
     val stats = readStats(s"$dir/stats.tsv")
-    val multi = stats.predicates.filter(stats(_).isMultiValued).toSet
     new ProstDb(
       spark,
       VpStore.load(spark, s"$dir/vp"),
-      PropertyTable.load(spark, s"$dir/pt", stats.predicates, multi),
+      PropertyTable.load(spark, s"$dir/pt", stats),
       stats,
     )
   }

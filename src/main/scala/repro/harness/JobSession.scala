@@ -30,9 +30,11 @@ object JobSession {
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      // SPARQL variables are case-sensitive (`?x` and `?X` differ), and
+      // every engine names its binding columns after them.
+      .config("spark.sql.caseSensitive", true)
       .config("spark.sql.codegen.cache.maxEntries", CodegenCacheEntries.toLong)
       // The cache key is the generated source, and by default the class
       // name in it carries the whole-stage codegen stage id. Adaptive

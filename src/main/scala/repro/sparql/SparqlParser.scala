@@ -24,14 +24,17 @@ object SparqlParser {
   /** Thrown on any syntax error, with a human-readable position message. */
   final case class ParseException(message: String) extends RuntimeException(message)
 
-  private sealed trait Token
-  private case class TWord(s: String) extends Token // keywords, prefixed names, bare names
-  private case class TVar(name: String) extends Token
-  private case class TLit(value: String) extends Token
-  private case object TLBrace extends Token
-  private case object TRBrace extends Token
-  private case object TDot extends Token
-  private case object TStar extends Token
+  /** A token; errors quote it as `text`, close to how the query wrote it. */
+  private sealed abstract class Token(text: String) {
+    override def toString: String = s"'$text'"
+  }
+  private case class TWord(s: String) extends Token(s) // keywords, prefixed names, bare names
+  private case class TVar(name: String) extends Token(s"?$name")
+  private case class TLit(value: String) extends Token("\"" + value + "\"")
+  private case object TLBrace extends Token("{")
+  private case object TRBrace extends Token("}")
+  private case object TDot extends Token(".")
+  private case object TStar extends Token("*")
 
   private def tokenize(input: String): Vector[Token] = {
     val out = Vector.newBuilder[Token]
@@ -117,15 +120,16 @@ object SparqlParser {
       case Some(TWord(w)) if w.equalsIgnoreCase("DISTINCT") => next(); true
       case _ => false
     }
-    val projection = Vector.newBuilder[Var]
+    var proj = Vector.empty[Var]
     var star = false
     var reading = true
     while (reading) peek match {
-      case Some(TVar(v)) => next(); projection += Var(v)
-      case Some(TStar)   => next(); star = true
-      case _             => reading = false
+      case Some(TVar(v)) if !star               => next(); proj :+= Var(v)
+      case Some(TStar) if !star && proj.isEmpty => next(); star = true
+      case Some(t @ (TVar(_) | TStar)) =>
+        throw ParseException(s"SELECT takes either '*' or variables: found $t")
+      case _ => reading = false
     }
-    val proj = projection.result()
     if (!star && proj.isEmpty)
       throw ParseException("SELECT needs at least one variable or *")
     expectWord("WHERE")
@@ -158,8 +162,9 @@ object SparqlParser {
     }
     val pats = patterns.result()
     if (pats.isEmpty) throw ParseException("empty basic graph pattern")
+    peek.foreach(t => throw ParseException(s"unexpected $t after the closing '}'"))
 
-    val query = BgpQuery(if (star) Seq.empty else proj, pats, distinct)
+    val query = BgpQuery(proj, pats, distinct)
     val bound = query.allVariables.toSet
     val unbound = query.projection.filterNot(bound)
     if (unbound.nonEmpty)

@@ -1,6 +1,8 @@
 package repro.baselines
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path, Paths}
+
+import scala.jdk.StreamConverters._
 
 import repro.{SparkSpec, TestData}
 import repro.sparql.{Iri, Lit, SparqlParser, TriplePattern, Var}
@@ -50,6 +52,16 @@ class RyaLikeSpec extends SparkSpec {
   test("parquet write/load round trip answers queries correctly") {
     val loaded = RyaLike.loadFrom(spark, dir)
     TestData.oracleCheck(loaded.query(WatDivQueries.S7.query), WatDivQueries.S7.query)
+  }
+
+  test("a collected three-pattern query leaves only its last step in the scratch directory") {
+    val rya = RyaLike.loadFrom(spark, dir)
+    val q = WatDivQueries.L1.query
+    TestData.oracleCheck(rya.query(q), q)
+    def list(d: Path): Seq[String] = Files.list(d).toScala(Seq).map(_.getFileName.toString)
+    val queryDirs = list(Paths.get(rya.scratchDir))
+    assert(queryDirs.size == 1, queryDirs)
+    assert(list(Paths.get(rya.scratchDir, queryDirs.head)) == Seq("step_1"))
   }
 
   test("the written store has all three index layouts") {

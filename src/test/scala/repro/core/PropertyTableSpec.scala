@@ -55,15 +55,14 @@ class PropertyTableSpec extends SparkSpec {
 
   test("columnFor maps every predicate") {
     assert(pt.columnFor.keySet == Set("ex:m", "ex:single"))
-    assert(pt.hasColumn("ex:m") && !pt.hasColumn("ex:other"))
   }
 
   test("parquet write/load round trip preserves shape and content") {
     val dir = repro.TestData.freshDir("pt")
     PropertyTable.write(pt, s"$dir/pt")
-    val loaded = PropertyTable.load(spark, s"$dir/pt", stats.predicates,
-      stats.predicates.filter(stats(_).isMultiValued).toSet)
+    val loaded = PropertyTable.load(spark, s"$dir/pt", stats)
     assert(loaded.df.count() == 3)
+    assert(loaded.columnFor == pt.columnFor && loaded.multiValued == pt.multiValued)
     assert(loaded.df.columns.toSet == pt.df.columns.toSet)
     val values = loaded.df.where(col("s") === "ex:a")
       .select(array_sort(col("ex_m"))).collect().head.getSeq[String](0)

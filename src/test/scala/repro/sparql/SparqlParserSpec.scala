@@ -151,6 +151,19 @@ class SparqlParserSpec extends AnyFunSuite {
     intercept[ParseException](parse("SELECT ?a WHERE { ?a ex:p }"))
   }
 
+  test("error: a token after the closing brace") {
+    val e = intercept[ParseException](parse("SELECT ?a WHERE { ?a ex:p ?b } LIMIT 5 garbage"))
+    assert(e.getMessage.contains("'LIMIT'"), e.getMessage)
+  }
+
+  test("error: a projection that mixes * with variables") {
+    for ((query, found) <- Seq("SELECT ?a * WHERE { ?a ex:p ?b }" -> "'*'",
+                               "SELECT * ?a WHERE { ?a ex:p ?b }" -> "'?a'")) {
+      val e = intercept[ParseException](parse(query))
+      assert(e.getMessage.contains(s"found $found"), e.getMessage)
+    }
+  }
+
   test("round trip: toString of a parsed query reparses to the same AST") {
     val original = parse("""SELECT DISTINCT ?a ?b WHERE { ?a ex:p ?b . ?b ex:q "lit" . ?a rdf:type ex:C }""")
     val reparsed = parse(original.toString)
