@@ -4,15 +4,9 @@ import repro.SparkSpec
 import repro.harness.BenchEnv
 
 /** One benchmark environment per JVM: stores are built (and their load
-  * phases timed) exactly once, then shared by the per-table suites.
+  * phases timed) and the query sets timed exactly once, then shared by the
+  * per-table suites.
   */
 object BenchFixture {
   lazy val env: BenchEnv = BenchEnv.default(SparkSpec.shared)
-
-  /** Per-system timings of the full 20-query set, computed once. */
-  lazy val prostTimings    = env.runAll(q => env.prostLoad._1.query(q, vpOnly = false))
-  lazy val prostVpTimings  = env.runAll(q => env.prostLoad._1.query(q, vpOnly = true))
-  lazy val s2rdfTimings    = env.runAll(env.s2rdfLoad._1.query)
-  lazy val ryaTimings      = env.runAll(env.ryaLoad._1.query)
-  lazy val sparqlGxTimings = env.runAll(env.gxLoad._1.query)
 }

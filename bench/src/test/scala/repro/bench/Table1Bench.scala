@@ -15,7 +15,7 @@ class Table1Bench extends SparkSpec {
 
   test("Table 1: build all four stores and print the table") {
     val reports = env.loadReports
-    println(env.table1String(reports))
+    println(env.table1)
     assert(reports.map(_.system) == Seq("PRoST", "SPARQLGX", "S2RDF", "Rya"))
     assert(reports.forall(r => r.bytes > 0 && r.millis > 0))
   }

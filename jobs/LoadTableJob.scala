@@ -5,14 +5,13 @@ import repro.harness.{BenchEnv, JobSession}
 /** spark-submit entrypoint reproducing **Table 1** (size and loading time
   * for PRoST, SPARQLGX, S2RDF and Rya).
   *
-  * Usage: `spark-submit --class repro.jobs.LoadTableJob <jar> [scale]`
+  * Usage: `WATDIV_BENCH_SCALE=<n> spark-submit --class repro.jobs.LoadTableJob <jar>`
   */
 object LoadTableJob {
   def main(args: Array[String]): Unit = {
+    BenchEnv.requireNoArgs(args)
     val spark = JobSession.create("prost-table1-loading")
-    val scale = args.headOption.map(_.toDouble).getOrElse(BenchEnv.defaultScale)
-    val env = new BenchEnv(spark, scale, "target/bench-job")
-    println(env.table1String(env.loadReports))
+    println(BenchEnv.default(spark).table1)
     spark.stop()
   }
 }

@@ -5,20 +5,13 @@ import repro.harness.{BenchEnv, JobSession}
 /** spark-submit entrypoint reproducing **Table 2** (average querying time
   * per query group for PRoST, S2RDF, Rya and SPARQLGX).
   *
-  * Usage: `spark-submit --class repro.jobs.QueryTableJob <jar> [scale]`
+  * Usage: `WATDIV_BENCH_SCALE=<n> spark-submit --class repro.jobs.QueryTableJob <jar>`
   */
 object QueryTableJob {
   def main(args: Array[String]): Unit = {
+    BenchEnv.requireNoArgs(args)
     val spark = JobSession.create("prost-table2-querying")
-    val scale = args.headOption.map(_.toDouble).getOrElse(BenchEnv.defaultScale)
-    val env = new BenchEnv(spark, scale, "target/bench-job")
-    val results = Seq(
-      "PRoST"    -> env.runAll(q => env.prostLoad._1.query(q, vpOnly = false)),
-      "S2RDF"    -> env.runAll(env.s2rdfLoad._1.query),
-      "Rya"      -> env.runAll(env.ryaLoad._1.query),
-      "SPARQLGX" -> env.runAll(env.gxLoad._1.query),
-    )
-    println(env.table2String(results))
+    println(BenchEnv.default(spark).table2)
     spark.stop()
   }
 }

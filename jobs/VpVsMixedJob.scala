@@ -5,17 +5,13 @@ import repro.harness.{BenchEnv, JobSession}
 /** spark-submit entrypoint reproducing the paper's **Figure 2** comparison
   * (VP-only vs the mixed VP + Property Table strategy) as a table.
   *
-  * Usage: `spark-submit --class repro.jobs.VpVsMixedJob <jar> [scale]`
+  * Usage: `WATDIV_BENCH_SCALE=<n> spark-submit --class repro.jobs.VpVsMixedJob <jar>`
   */
 object VpVsMixedJob {
   def main(args: Array[String]): Unit = {
+    BenchEnv.requireNoArgs(args)
     val spark = JobSession.create("prost-fig2-vp-vs-mixed")
-    val scale = args.headOption.map(_.toDouble).getOrElse(BenchEnv.defaultScale)
-    val env = new BenchEnv(spark, scale, "target/bench-job")
-    val db = env.prostLoad._1
-    val vpOnly = env.runAll(q => db.query(q, vpOnly = true))
-    val mixed  = env.runAll(q => db.query(q, vpOnly = false))
-    println(env.vpVsMixedString(vpOnly, mixed))
+    println(BenchEnv.default(spark).figure2)
     spark.stop()
   }
 }

@@ -1,14 +1,13 @@
 package repro.baselines
 
-import java.nio.file.{Files, Path, Paths}
-
-import scala.jdk.StreamConverters._
+import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.EvalCore
 import repro.sparql.{BgpQuery, TriplePattern}
+import repro.util.Timing
 
 /** Behaviour-faithful Rya stand-in (Punnoose et al., 2012).
   *
@@ -55,7 +54,7 @@ final class RyaLike(
   private def materialize(df: DataFrame, step: Int, queryId: String): DataFrame = {
     val path = s"$scratchDir/$queryId/step_$step"
     df.write.mode("overwrite").parquet(path)
-    RyaLike.deleteTree(Paths.get(s"$scratchDir/$queryId/step_${step - 1}"))
+    Timing.deleteTree(Paths.get(s"$scratchDir/$queryId/step_${step - 1}"))
     spark.read.parquet(path)
   }
 
@@ -91,12 +90,8 @@ object RyaLike {
     */
   def loadFrom(spark: SparkSession, dir: String): RyaLike = {
     val scratch = Files.createTempDirectory("rya-scratch")
-    sys.addShutdownHook(deleteTree(scratch))
+    sys.addShutdownHook(Timing.deleteTree(scratch))
     val idx = IndexNames.map(n => n -> spark.read.parquet(s"$dir/$n")).toMap
     new RyaLike(spark, idx, scratch.toString)
   }
-
-  /** Delete `path` and everything under it; a missing path is a no-op. */
-  private def deleteTree(path: Path): Unit =
-    if (Files.exists(path)) Files.walk(path).toScala(Seq).reverse.foreach(Files.deleteIfExists)
 }

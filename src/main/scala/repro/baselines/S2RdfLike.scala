@@ -1,10 +1,13 @@
 package repro.baselines
 
+import java.nio.file.Paths
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{EvalCore, GraphStats, Prost, Tsv, VpStore}
 import repro.sparql.{BgpQuery, TriplePattern, Var}
+import repro.util.Timing
 
 /** Behaviour-faithful S2RDF stand-in (Schätzle et al., VLDB 2016).
   *
@@ -98,13 +101,8 @@ object S2RdfLike {
 
     val bySubject = cached.select(col("p") as "p2", col("s") as "k").distinct().cache()
     val byObject  = cached.select(col("p") as "p2", col("o") as "k").distinct().cache()
-    for (pos <- Positions) {
-      val out = java.nio.file.Paths.get(s"$dir/extvp_$pos")
-      if (java.nio.file.Files.exists(out)) {
-        import scala.jdk.StreamConverters._
-        java.nio.file.Files.walk(out).toScala(Seq).reverse.foreach(java.nio.file.Files.delete)
-      }
-    }
+    // The families below are appended per predicate: drop an earlier write's.
+    Positions.foreach(pos => Timing.deleteTree(Paths.get(s"$dir/extvp_$pos")))
     stats.predicates.foreach { p1 =>
       val left = cached.where(col("p") === p1)
         .select(lit(p1) as "p1", col("s"), col("o"))

@@ -17,17 +17,16 @@ import repro.watdiv.{WatDivGen, WatDivQueries}
   * All four systems load from the same tab-separated source file (standing
   * in for the N-Triples dump on HDFS) into their own on-disk layout; load
   * time and on-disk size give Table 1, per-query wall-clock gives Table 2
-  * and the Figure 2 comparison.
+  * and the Figure 2 comparison. Every load and every query run happens at
+  * most once per env.
   */
 final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String) {
-
-  /** Paper numbers for the side-by-side printouts. */
-  import BenchEnv.{PaperTable1, PaperTable2}
+  import BenchEnv._
 
   private val sourceDir = s"$baseDir/source"
 
   /** The source dump, generated once (not part of any system's load time). */
-  lazy val sourcePath: String = {
+  private lazy val sourcePath: String = {
     val triples = WatDivGen.generate(spark, scale)
     TripleOps.writeText(triples, sourceDir)
     sourceDir
@@ -36,7 +35,7 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
   /** A fresh, un-cached read of the source dump — every system's loading
     * phase starts here, like reading N-Triples off HDFS.
     */
-  def freshTriples: DataFrame = TripleOps.readText(spark, sourcePath)
+  private def freshTriples: DataFrame = TripleOps.readText(spark, sourcePath)
 
   /** One-time, untimed warm-up of Spark's shuffle/Parquet/text machinery,
     * so first-use JIT and codegen costs do not land on whichever system
@@ -54,88 +53,73 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
     ()
   }
 
-  final case class LoadReport(system: String, bytes: Long, millis: Long) {
-    def pretty: String =
-      f"$system%-10s ${Timing.humanBytes(bytes)}%12s ${Timing.humanMillis(millis)}%12s"
+  /** One system's Table 1 load: the wall time of its `writeTo` into
+    * `<baseDir>/<system lower-cased>` and the bytes written there, with
+    * the store opened by its `loadFrom`.
+    */
+  private def load[A](system: String)(
+      writeTo: (DataFrame, String) => Any, loadFrom: (SparkSession, String) => A): (A, LoadReport) = {
+    warmedUp
+    val dir = s"$baseDir/${system.toLowerCase}"
+    val (_, ms) = Timing.timed(writeTo(freshTriples, dir))
+    (loadFrom(spark, dir), LoadReport(system, Timing.dirBytes(Paths.get(dir)), ms))
   }
 
-  lazy val prostLoad: (ProstDb, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/prost"
-    val (db, ms) = Timing.timed(Prost.writeTo(freshTriples, dir))
-    (db, LoadReport("PRoST", Timing.dirBytes(Paths.get(dir)), ms))
-  }
-
-  lazy val gxLoad: (SparqlGxLike, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/sparqlgx"
-    val (_, ms) = Timing.timed(SparqlGxLike.writeTo(freshTriples, dir))
-    (SparqlGxLike.loadFrom(spark, dir), LoadReport("SPARQLGX", Timing.dirBytes(Paths.get(dir)), ms))
-  }
-
-  lazy val s2rdfLoad: (S2RdfLike, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/s2rdf"
-    val (_, ms) = Timing.timed(S2RdfLike.writeTo(freshTriples, dir))
-    (S2RdfLike.loadFrom(spark, dir), LoadReport("S2RDF", Timing.dirBytes(Paths.get(dir)), ms))
-  }
-
-  lazy val ryaLoad: (RyaLike, LoadReport) = {
-    warmedUp
-    val dir = s"$baseDir/rya"
-    val (_, ms) = Timing.timed(RyaLike.writeTo(freshTriples, dir))
-    (RyaLike.loadFrom(spark, dir), LoadReport("Rya", Timing.dirBytes(Paths.get(dir)), ms))
-  }
+  lazy val prostLoad: (ProstDb, LoadReport) = load("PRoST")(Prost.writeTo, Prost.loadFrom)
+  lazy val gxLoad: (SparqlGxLike, LoadReport) = load("SPARQLGX")(SparqlGxLike.writeTo, SparqlGxLike.loadFrom)
+  lazy val s2rdfLoad: (S2RdfLike, LoadReport) = load("S2RDF")(S2RdfLike.writeTo, S2RdfLike.loadFrom)
+  lazy val ryaLoad: (RyaLike, LoadReport) = load("Rya")(RyaLike.writeTo, RyaLike.loadFrom)
 
   /** Table 1 rows, in the paper's order. */
-  def loadReports: Seq[LoadReport] =
+  lazy val loadReports: Seq[LoadReport] =
     Seq(prostLoad._2, gxLoad._2, s2rdfLoad._2, ryaLoad._2)
 
   // ---- querying ----------------------------------------------------------
 
-  final case class QueryTiming(query: String, group: String, millis: Long, rows: Long)
-
-  /** Time one query end-to-end (plan + execute + count the result). */
-  def time(name: String, group: String, run: BgpQuery => DataFrame, q: BgpQuery): QueryTiming = {
-    val (rows, ms) = Timing.timed(run(q).count())
-    QueryTiming(name, group, ms, rows)
-  }
-
-  /** Run the whole basic set through `run`, after one small warm-up query
-    * so JIT/classloading noise lands outside the measurements.
+  /** The whole basic set through `run`, each query timed end to end (plan +
+    * execute + count the result), after one small warm-up query so
+    * JIT/classloading noise lands outside the measurements.
     */
-  def runAll(run: BgpQuery => DataFrame): Seq[QueryTiming] = {
+  private def timeQueries(run: BgpQuery => DataFrame): Seq[QueryTiming] = {
     run(WatDivQueries.L3.query).count() // warm-up
-    WatDivQueries.All.map(nq => time(nq.name, nq.group, run, nq.query))
+    WatDivQueries.All.map { nq =>
+      val (rows, ms) = Timing.timed(run(nq.query).count())
+      QueryTiming(nq.name, nq.group, ms, rows)
+    }
   }
 
-  /** Average milliseconds per query group, keyed by group letter. */
-  def groupAverages(ts: Seq[QueryTiming]): Map[String, Double] =
-    ts.groupBy(_.group).view.mapValues(g => g.map(_.millis).sum.toDouble / g.size).toMap
+  /** PRoST's timings with each strategy: the two sides of Figure 2. */
+  lazy val prostMixed: Seq[QueryTiming] = timeQueries(prostLoad._1.query(_, vpOnly = false))
+  lazy val prostVpOnly: Seq[QueryTiming] = timeQueries(prostLoad._1.query(_, vpOnly = true))
+
+  /** Table 2 columns, in the paper's order. */
+  lazy val querySystems: Seq[(String, Seq[QueryTiming])] = Seq(
+    "PRoST"    -> prostMixed,
+    "S2RDF"    -> timeQueries(s2rdfLoad._1.query),
+    "Rya"      -> timeQueries(ryaLoad._1.query),
+    "SPARQLGX" -> timeQueries(gxLoad._1.query),
+  )
 
   // ---- formatted tables --------------------------------------------------
 
   /** Table 1 printout with the paper's WatDiv100M numbers alongside. */
-  def table1String(reports: Seq[LoadReport]): String = {
+  def table1: String = {
     val header = f"${"System"}%-10s ${"Size"}%12s ${"Time"}%12s   paper: size / time (WatDiv100M)"
-    val rows = reports.map { r =>
+    val rows = loadReports.map { r =>
       val (ps, pt) = PaperTable1(r.system)
-      f"${r.pretty}   $ps / $pt"
+      f"${r.system}%-10s ${Timing.humanBytes(r.bytes)}%12s ${Timing.humanMillis(r.millis)}%12s   $ps / $pt"
     }
     (s"== Table 1: size and loading time (scale=$scale) ==" +: header +: rows).mkString("\n")
   }
 
   /** Table 2 printout: average per group for each system + paper numbers. */
-  def table2String(bySystem: Seq[(String, Seq[QueryTiming])]): String = {
-    val groups = Seq("C", "F", "L", "S")
-    val header = f"${"Queries"}%-10s" + bySystem.map { case (n, _) => f"$n%12s" }.mkString +
-      "   paper(ms): " + bySystem.map(_._1).mkString("/")
-    val rows = groups.map { g =>
+  def table2: String = {
+    val header = f"${"Queries"}%-10s" + querySystems.map { case (n, _) => f"$n%12s" }.mkString +
+      "   paper(ms): " + querySystems.map(_._1).mkString("/")
+    val rows = Seq("C", "F", "L", "S").map { g =>
       val name = WatDivQueries.GroupNames(g)
-      val cells = bySystem.map { case (_, ts) =>
-        f"${groupAverages(ts)(g)}%12.0f"
-      }.mkString
-      val paper = bySystem.map { case (n, _) => PaperTable2(g)(n) }.mkString("/")
+      val cells = querySystems.map { case (_, ts) => f"${groupAverages(ts)(g)}%12.0f" }.mkString
+      val paper = querySystems.map { case (n, _) => PaperTable2(g)(n) }.mkString("/")
       f"$name%-10s$cells   $paper"
     }
     (s"== Table 2: average querying time in ms by query group (scale=$scale) ==" +:
@@ -143,9 +127,9 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
   }
 
   /** Figure 2 as a table: per-query VP-only vs mixed. */
-  def vpVsMixedString(vpOnly: Seq[QueryTiming], mixed: Seq[QueryTiming]): String = {
+  def figure2: String = {
     val header = f"${"Query"}%-8s${"VP-only"}%10s${"Mixed"}%10s${"speedup"}%10s"
-    val rows = vpOnly.zip(mixed).map { case (v, m) =>
+    val rows = prostVpOnly.zip(prostMixed).map { case (v, m) =>
       f"${v.query}%-8s${v.millis}%10d${m.millis}%10d${v.millis.toDouble / math.max(1, m.millis)}%10.2f"
     }
     (s"== Figure 2 companion: VP-only vs mixed strategy, per query (scale=$scale) ==" +:
@@ -155,15 +139,27 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
 
 object BenchEnv {
 
-  /** Default benchmark scale (~800k triples); override with
-    * WATDIV_BENCH_SCALE.
-    */
-  def defaultScale: Double =
-    sys.env.get("WATDIV_BENCH_SCALE").map(_.toDouble).getOrElse(6.0)
+  final case class LoadReport(system: String, bytes: Long, millis: Long)
+
+  final case class QueryTiming(query: String, group: String, millis: Long, rows: Long)
+
+  /** Average milliseconds per query group, keyed by group letter. */
+  def groupAverages(ts: Seq[QueryTiming]): Map[String, Double] =
+    ts.groupBy(_.group).view.mapValues(g => g.map(_.millis).sum.toDouble / g.size).toMap
+
+  /** The one scale setting of the benchmark: default 6 (~800k triples). */
+  val ScaleVariable = "WATDIV_BENCH_SCALE"
 
   /** Build against `target/bench` with the environment-selected scale. */
   def default(spark: SparkSession): BenchEnv =
-    new BenchEnv(spark, defaultScale, "target/bench")
+    new BenchEnv(spark, sys.env.get(ScaleVariable).map(_.toDouble).getOrElse(6.0), "target/bench")
+
+  /** The `jobs/` entrypoints take no arguments: the scale comes only from
+    * [[ScaleVariable]].
+    */
+  def requireNoArgs(args: Array[String]): Unit =
+    require(args.isEmpty,
+      s"unexpected arguments '${args.mkString(" ")}': set the WatDiv scale with $ScaleVariable=<n>")
 
   /** Paper Table 1 (WatDiv100M): system -> (size, loading time). */
   val PaperTable1: Map[String, (String, String)] = Map(

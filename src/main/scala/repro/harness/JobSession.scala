@@ -27,7 +27,7 @@ object JobSession {
   val CodegenCacheEntries = 4000
 
   def create(appName: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions", 64)

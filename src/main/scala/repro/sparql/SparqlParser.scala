@@ -5,7 +5,7 @@ package repro.sparql
   *
   * {{{
   * query   := prefix* "SELECT" "DISTINCT"? projection "WHERE" "{" triples "}"
-  * prefix  := "PREFIX" PNAME ":" IRIREF          // recorded, then ignored:
+  * prefix  := "PREFIX" PNAME ":" IRIREF          // checked, then ignored:
   *                                               // data keeps prefixed names
   * proj    := "*" | var+
   * triples := pattern ("." pattern)* "."?
@@ -29,6 +29,7 @@ object SparqlParser {
     override def toString: String = s"'$text'"
   }
   private case class TWord(s: String) extends Token(s) // keywords, prefixed names, bare names
+  private case class TIri(iri: String) extends Token(s"<$iri>")
   private case class TVar(name: String) extends Token(s"?$name")
   private case class TLit(value: String) extends Token("\"" + value + "\"")
   private case object TLBrace extends Token("{")
@@ -74,7 +75,7 @@ object SparqlParser {
       } else if (c == '<') {
         val close = input.indexOf('>', i)
         if (close < 0) err("unterminated IRI")
-        out += TWord(input.substring(i + 1, close))
+        out += TIri(input.substring(i + 1, close))
         i = close + 1
       } else if (c.isDigit || (c == '-' && i + 1 < n && input(i + 1).isDigit)) {
         val start = i
@@ -105,13 +106,21 @@ object SparqlParser {
       case other => throw ParseException(s"expected '$kw', found $other")
     }
 
-    // PREFIX declarations: accepted and skipped — data uses prefixed names.
+    // PREFIX declarations: checked and skipped — data uses prefixed names.
     var scanning = true
     while (scanning) peek match {
       case Some(TWord(w)) if w.equalsIgnoreCase("PREFIX") =>
-        next() // PREFIX
-        next() // pname: (tokenizer folds "ex:" into one word)
-        next() // <iri> target
+        next()
+        next() match { // the tokenizer folds "ex:" into one word
+          case TWord(name) if name.endsWith(":") => ()
+          case other =>
+            throw ParseException(s"expected a prefix name ending in ':' after PREFIX, found $other")
+        }
+        next() match {
+          case TIri(_) => ()
+          case other   =>
+            throw ParseException(s"expected an IRI in '<...>' after the prefix name, found $other")
+        }
       case _ => scanning = false
     }
 
@@ -142,6 +151,7 @@ object SparqlParser {
       case TVar(v)  => Var(v)
       case TLit(l)  => Lit(l)
       case TWord(w) => Iri(w)
+      case TIri(i)  => Iri(i)
       case other    => throw ParseException(s"expected a term, found $other")
     }
 

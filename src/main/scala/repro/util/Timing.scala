@@ -3,7 +3,7 @@ package repro.util
 import java.nio.file.{Files, Path}
 import scala.jdk.StreamConverters._
 
-/** Wall-clock and on-disk measurement helpers for the benchmark harness. */
+/** Wall-clock and on-disk helpers: timing, directory sizes and deletes. */
 object Timing {
 
   /** Run `body`, return (result, elapsed milliseconds). */
@@ -17,6 +17,10 @@ object Timing {
   def dirBytes(path: Path): Long =
     if (!Files.exists(path)) 0L
     else Files.walk(path).toScala(Seq).filter(Files.isRegularFile(_)).map(Files.size).sum
+
+  /** Delete `path` and everything under it; a missing path is a no-op. */
+  def deleteTree(path: Path): Unit =
+    if (Files.exists(path)) Files.walk(path).toScala(Seq).reverse.foreach(Files.deleteIfExists)
 
   /** Human-readable size, e.g. `12.3 MB`. */
   def humanBytes(bytes: Long): String = {

@@ -7,7 +7,7 @@ package repro.watdiv
   * purchases. Its value for the PRoST evaluation is *structural* diversity:
   * many predicates of wildly different cardinality, star-heavy entities,
   * multi-valued edges and sparse attributes. This catalogue reproduces
-  * those structural properties with ~30 predicates.
+  * those structural properties with 46 predicates.
   */
 object WatDivSchema {
 

@@ -2,13 +2,12 @@ package repro
 
 import java.nio.file.{Files, Path}
 
-import scala.jdk.StreamConverters._
-
 import org.apache.spark.sql.DataFrame
 
 import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
 import repro.core.{GraphStats, Prost, ProstDb}
 import repro.sparql.{BgpQuery, BgpSql}
+import repro.util.Timing
 import repro.watdiv.WatDivGen
 
 /** Shared fixtures for the whole test run: one small WatDiv-like graph and
@@ -27,9 +26,7 @@ object TestData {
   /** The directory every test writes under, deleted when the JVM exits. */
   lazy val root: Path = {
     val r = Files.createTempDirectory("repro-test")
-    sys.addShutdownHook {
-      Files.walk(r).toScala(Seq).reverse.foreach(Files.deleteIfExists)
-    }
+    sys.addShutdownHook(Timing.deleteTree(r))
     r
   }
 

@@ -4,8 +4,9 @@ import java.nio.file.Files
 
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestData}
-import repro.sparql.{SparqlParser, TriplePattern, Var, Iri}
+import repro.{Oracle, SparkSpec, TestData}
+import repro.rdf.TripleOps
+import repro.sparql.{BgpSql, SparqlParser, TriplePattern, Var, Iri}
 import repro.watdiv.WatDivQueries
 
 class S2RdfLikeSpec extends SparkSpec {
@@ -73,6 +74,23 @@ class S2RdfLikeSpec extends SparkSpec {
       .map(p => spark.read.parquet(s"$dir/extvp_$p").count()).sum
     val vpRows = TestData.triples.count()
     assert(extRows > 3 * vpRows, s"extRows=$extRows vpRows=$vpRows")
+  }
+
+  test("writing twice into the same directory replaces the ExtVP tables") {
+    val graph = TripleOps.fromSeq(spark, Seq(
+      ("a", "ex:p", "b"), ("b", "ex:q", "c"), ("a", "ex:q", "d"), ("c", "ex:p", "a")))
+    val d = TestData.freshDir("s2rdf-twice")
+    def sizes = Files.readString(java.nio.file.Paths.get(s"$d/ext_sizes.tsv"))
+    S2RdfLike.writeTo(graph, d)
+    val first = sizes
+    S2RdfLike.writeTo(graph, d)
+    assert(sizes == first)
+    val store = S2RdfLike.loadFrom(spark, d)
+    for (sparql <- Seq("SELECT * WHERE { ?x ex:p ?y . ?y ex:q ?z }",
+                       "SELECT * WHERE { ?x ex:p ?y . ?x ex:q ?z }")) withClue(sparql) {
+      val q = SparqlParser.parse(sparql)
+      Oracle.assertEquivalent(store.query(q), BgpSql.toSql(q), "triples" -> graph)
+    }
   }
 
   /** A store directory whose `ext_sizes.tsv` holds `sizes`; `loadFrom`

@@ -4,10 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.sparql.Var
 
-class EvalCoreSpec extends AnyFunSuite {
+/** An item of the order: a name, the variables it binds, its key. */
+private final case class Item(name: String, vars: Set[Var], key: Double)
 
-  /** An item of the order: a name, the variables it binds, its key. */
-  private final case class Item(name: String, vars: Set[Var], key: Double)
+class EvalCoreSpec extends AnyFunSuite {
 
   private def item(name: String, key: Double, vars: String*) = Item(name, vars.map(Var(_)).toSet, key)
 

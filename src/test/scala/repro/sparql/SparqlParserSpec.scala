@@ -81,6 +81,17 @@ class SparqlParserSpec extends AnyFunSuite {
     assert(q.patterns.head.p == Iri("wsdbm:likes"))
   }
 
+  test("error: a PREFIX declaration whose target is not an <IRI>") {
+    val e = intercept[ParseException](parse("PREFIX ex: ex:notAnIri SELECT ?a WHERE { ?a ex:p ?b }"))
+    assert(e.getMessage.contains("'ex:notAnIri'"), e.getMessage)
+  }
+
+  test("error: a PREFIX declaration without a prefix name") {
+    val e = intercept[ParseException](parse("PREFIX SELECT ?a WHERE { ?a ex:p ?b }"))
+    assert(e.getMessage.contains("prefix name"), e.getMessage)
+    assert(e.getMessage.contains("found 'SELECT'"), e.getMessage)
+  }
+
   test("escaped quote inside a literal") {
     val q = parse("SELECT ?s WHERE { ?s ex:p \"a\\\"b\" }")
     assert(q.patterns.head.o == Lit("a\"b"))
