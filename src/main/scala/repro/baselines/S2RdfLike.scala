@@ -32,7 +32,7 @@ final class S2RdfLike(
   /** The precomputed reduction of `p1` against `p2` at `pos`, if any. */
   private def extTable(pos: String, p1: String, p2: String): Option[DataFrame] =
     extSizes.get((pos, p1, p2)).map { _ =>
-      ext(pos).where(col("p1") === p1 && col("p2") === p2).select("s", "o")
+      ext(pos).where(col("p1") === stats.ids(p1) && col("p2") === stats.ids(p2)).select("s", "o")
     }
 
   /** Pick the smallest applicable table for pattern `tp` within `query`:
@@ -79,9 +79,12 @@ object S2RdfLike {
 
   val Positions: Seq[String] = Seq("SS", "SO", "OS")
 
-  /** The ExtVP family of one position, as written by [[writeTo]]. */
+  /** The ExtVP family of one position, as written by [[writeTo]]: one
+    * directory `p1=<id>/p2=<id>` per predicate pair, read with its schema
+    * given, so opening it infers nothing from the directory names.
+    */
   private def readExt(spark: SparkSession, dir: String, pos: String): DataFrame =
-    VpStore.readAsStrings(spark, "s", "o", "p1", "p2").parquet(s"$dir/extvp_$pos")
+    spark.read.schema("s STRING, o STRING, p1 INT, p2 INT").parquet(s"$dir/extvp_$pos")
 
   /** S2RDF loading phase (the Table 1 cost): VP Parquet + the three ExtVP
     * families + stats + size metadata.
@@ -99,24 +102,25 @@ object S2RdfLike {
     val stats = GraphStats.compute(cached)
     VpStore.write(cached, stats, s"$dir/vp")
 
-    val bySubject = cached.select(col("p") as "p2", col("s") as "k").distinct().cache()
-    val byObject  = cached.select(col("p") as "p2", col("o") as "k").distinct().cache()
+    val bySubject = cached.select(stats.idOf(col("p")) as "p2", col("s") as "k").distinct().cache()
+    val byObject  = cached.select(stats.idOf(col("p")) as "p2", col("o") as "k").distinct().cache()
     // The families below are appended per predicate: drop an earlier write's.
     Positions.foreach(pos => Timing.deleteTree(Paths.get(s"$dir/extvp_$pos")))
     stats.predicates.foreach { p1 =>
+      val id = stats.ids(p1)
       val left = cached.where(col("p") === p1)
-        .select(lit(p1) as "p1", col("s"), col("o"))
+        .select(lit(id) as "p1", col("s"), col("o"))
       def append(pos: String, df: DataFrame): Unit =
         df.select("p1", "p2", "s", "o")
           .write.mode("append").partitionBy("p1", "p2").parquet(s"$dir/extvp_$pos")
-      append("SS", left.join(bySubject.where(col("p2") =!= p1), left("s") === bySubject("k")))
+      append("SS", left.join(bySubject.where(col("p2") =!= id), left("s") === bySubject("k")))
       append("SO", left.join(byObject, left("s") === byObject("k")))
       append("OS", left.join(bySubject, left("o") === bySubject("k")))
     }
     bySubject.unpersist(); byObject.unpersist()
     val sizes = Positions.flatMap { pos =>
       readExt(cached.sparkSession, dir, pos).groupBy("p1", "p2").count().collect()
-        .map(r => (pos, r.getString(0), r.getString(1)) -> r.getLong(2))
+        .map(r => (pos, stats.predicates(r.getInt(0)), stats.predicates(r.getInt(1))) -> r.getLong(2))
     }
     Tsv.write(s"$dir/ext_sizes.tsv", sizes.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
       Seq(pos, p1, p2, n.toString)
@@ -136,6 +140,6 @@ object S2RdfLike {
       n.toLongOption.map((pos, p1, p2) -> _).toRight("size must be an integer")
     }.toMap
     val ext = Positions.map(pos => pos -> readExt(spark, dir, pos)).toMap
-    new S2RdfLike(VpStore.load(spark, s"$dir/vp"), stats, ext, sizes)
+    new S2RdfLike(VpStore.load(spark, s"$dir/vp", stats), stats, ext, sizes)
   }
 }

@@ -1,19 +1,21 @@
 package repro.baselines
 
+import scala.util.matching.Regex
+
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, concat_ws}
+import org.apache.spark.sql.functions.{col, udf}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
-import repro.core.{EvalCore, GraphStats, Prost, VpStore}
+import repro.core.{EvalCore, GraphStats, Prost}
 import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
   *
   * What the paper credits/blames SPARQLGX for, and what we therefore model:
   *   - **Vertical Partitioning only** — one file per predicate, *plain
-  *     compressed text* (`s \t o` lines), which is why its footprint is the
-  *     smallest in Table 1;
+  *     compressed text* (`s \t o` lines, each term escaped as in
+  *     N-Triples), which is why its footprint is the smallest in Table 1;
   *   - **compiles queries to direct Spark (RDD) operations, not Spark
   *     SQL** — no Catalyst, no columnar Parquet scans; joins are RDD
   *     `join`s over string pairs;
@@ -28,10 +30,10 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
     * everything is RDD-level, as in SPARQLGX's generated code.
     */
   private def tableFor(predicate: String): RDD[(String, String)] =
-    data.where(col("p") === predicate).select("value").rdd.map { r =>
+    data.where(stats.rowsOf(predicate, col("p"))).select("value").rdd.map { r =>
       val line = r.getString(0)
       val i = line.indexOf('\t')
-      (line.substring(0, i), line.substring(i + 1))
+      (SparqlGxLike.unescape(line.substring(0, i)), SparqlGxLike.unescape(line.substring(i + 1)))
     }
 
   /** SPARQLGX's join ordering: ascending estimated size; constants shrink
@@ -99,16 +101,32 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
 
 object SparqlGxLike {
 
-  /** SPARQLGX loading phase: per-predicate gzip **text** directories (one
-    * partitioned write) + a stats file. This is the path timed/measured for
-    * Table 1; text is what keeps SPARQLGX's footprint the smallest.
+  /** `term` with backslash, tab, LF and CR escaped as N-Triples does, so
+    * it holds no tab or line break of its own.
+    */
+  private def escape(term: String): String =
+    term.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+
+  private val Escaped = """\\(.)""".r
+
+  /** The term [[escape]] turned into `field`. */
+  private def unescape(field: String): String =
+    Escaped.replaceAllIn(field, m => Regex.quoteReplacement(m.group(1) match {
+      case "t" => "\t"; case "n" => "\n"; case "r" => "\r"; case c => c
+    }))
+
+  private val line = udf((s: String, o: String) => s"${escape(s)}\t${escape(o)}")
+
+  /** SPARQLGX loading phase: per-predicate gzip **text** directories `p=<id>`
+    * (one partitioned write) + a stats file. This is the path
+    * timed/measured for Table 1; text is what keeps SPARQLGX's footprint
+    * the smallest.
     */
   def writeTo(triples: DataFrame, dir: String): Unit = {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
-    VpStore.requirePartitionable(stats, dir)
     cached
-      .select(concat_ws("\t", col("s"), col("o")) as "value", col("p"))
+      .select(line(col("s"), col("o")) as "value", stats.idOf(col("p")) as "p")
       .repartition(col("p"))
       .write.mode("overwrite").partitionBy("p").option("compression", "gzip")
       .text(s"$dir/data")
@@ -117,8 +135,10 @@ object SparqlGxLike {
     ()
   }
 
-  /** Open a store written by [[writeTo]]. */
+  /** Open a store written by [[writeTo]]; the schema is given, so opening
+    * it infers nothing from the directory names.
+    */
   def loadFrom(spark: SparkSession, dir: String): SparqlGxLike =
-    new SparqlGxLike(VpStore.readAsStrings(spark, "value", "p").text(s"$dir/data"),
+    new SparqlGxLike(spark.read.schema("value STRING, p INT").text(s"$dir/data"),
       Prost.readStats(s"$dir/stats.tsv"))
 }

@@ -3,8 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.util.Names
-
 /** The Property Table half of the PRoST data model (Wilkinson's Jena2
   * scheme): a single wide table with one row per distinct subject and one
   * column per predicate.
@@ -19,7 +17,7 @@ import repro.util.Names
   *   - Parquet's run-length encoding absorbs the NULL-heavy layout.
   *
   * @param df          the wide table; column `s` plus one column per predicate
-  * @param columnFor   predicate IRI -> sanitised column name
+  * @param columnFor   predicate IRI -> column name `p<id>` (see [[GraphStats]])
   * @param multiValued predicates stored as array columns
   */
 final case class PropertyTable(
@@ -32,7 +30,7 @@ object PropertyTable {
 
   /** `df` with the column names and list columns the stats imply. */
   def apply(df: DataFrame, stats: GraphStats): PropertyTable =
-    PropertyTable(df, Names.forPredicates(stats.predicates),
+    PropertyTable(df, stats.ids.map { case (p, id) => p -> s"p$id" },
                   stats.predicates.filter(stats(_).isMultiValued).toSet)
 
   /** Build the PT with a single aggregation pass — one

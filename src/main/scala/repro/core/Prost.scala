@@ -59,15 +59,15 @@ object Prost {
     val stats = readStats(s"$dir/stats.tsv")
     new ProstDb(
       spark,
-      VpStore.load(spark, s"$dir/vp"),
+      VpStore.load(spark, s"$dir/vp", stats),
       PropertyTable.load(spark, s"$dir/pt", stats),
       stats,
     )
   }
 
   /** Persist the stats as TSV: predicate, tripleCount, distinctSubjects,
-    * maxPerSubject (one line each). A predicate holding a tab or line
-    * break cannot be written as one TSV field and is rejected.
+    * maxPerSubject (one line each, in id order). A predicate holding a tab
+    * or line break cannot be written as one TSV field and is rejected.
     */
   def writeStats(stats: GraphStats, path: String): Unit =
     Tsv.write(path, stats.predicates.map { p =>

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Per-predicate statistics, exactly the two measures the paper gathers at
@@ -19,7 +19,13 @@ final case class PredicateStats(
   def isMultiValued: Boolean = maxPerSubject > 1
 }
 
-/** Statistics for a whole graph, keyed by predicate. */
+/** Statistics for a whole graph, keyed by predicate. They also name every
+  * predicate on disk: a predicate's id is its index in [[predicates]], and
+  * the stores write the id where they would write the predicate (partition
+  * `p=<id>`, Property Table column `p<id>`), so any string, however long
+  * or odd, is a legal predicate. `stats.tsv` lists the predicates in that
+  * order, so line n holds id n - 1.
+  */
 final case class GraphStats(byPredicate: Map[String, PredicateStats]) {
 
   /** Stats for `predicate`; zero-stats if the predicate never occurs. */
@@ -29,8 +35,22 @@ final case class GraphStats(byPredicate: Map[String, PredicateStats]) {
   /** True if the graph contains the predicate at all. */
   def hasPredicate(predicate: String): Boolean = byPredicate.contains(predicate)
 
-  /** All predicates, sorted (drives stable column/path naming). */
-  def predicates: Seq[String] = byPredicate.keys.toSeq.sorted
+  /** All predicates, sorted: the order of their ids. */
+  lazy val predicates: Seq[String] = byPredicate.keys.toSeq.sorted
+
+  /** Each predicate's id. */
+  lazy val ids: Map[String, Int] = predicates.zipWithIndex.toMap
+
+  /** The id of the predicate in column `p`, row by row: a lookup in a
+    * literal map, so mapping a table adds no join and no shuffle.
+    */
+  def idOf(p: Column): Column = element_at(typedLit(ids), p)
+
+  /** Rows whose id column `id` holds `predicate`'s id; none for a
+    * predicate the graph lacks.
+    */
+  def rowsOf(predicate: String, id: Column): Column =
+    ids.get(predicate).fold(lit(false))(id === _)
 
   /** Total number of triples in the graph. */
   def totalTriples: Long = byPredicate.valuesIterator.map(_.tripleCount).sum

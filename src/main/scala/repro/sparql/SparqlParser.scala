@@ -12,7 +12,7 @@ package repro.sparql
   * pattern := term term term
   * term    := var | literal | iri
   * var     := "?" NAME
-  * literal := '"' chars '"' | NUMBER
+  * literal := '"' (char | ECHAR)* '"' | NUMBER  // ECHAR: \t \b \n \r \f \" \' \\
   * iri     := "<" chars ">" | PNAME ":" NAME | NAME
   * }}}
   *
@@ -36,6 +36,10 @@ object SparqlParser {
   private case object TRBrace extends Token("}")
   private case object TDot extends Token(".")
   private case object TStar extends Token("*")
+
+  /** SPARQL 1.1's string escapes (ECHAR), by the character after `\`. */
+  private val Echars: Map[Char, Char] =
+    Map('t' -> '\t', 'b' -> '\b', 'n' -> '\n', 'r' -> '\r', 'f' -> '\f', '"' -> '"', '\'' -> '\'', '\\' -> '\\')
 
   private def tokenize(input: String): Vector[Token] = {
     val out = Vector.newBuilder[Token]
@@ -65,7 +69,9 @@ object SparqlParser {
         var closed = false
         while (i < n && !closed) {
           input(i) match {
-            case '\\' if i + 1 < n => sb += input(i + 1); i += 2
+            case '\\' if i + 1 < n =>
+              sb += Echars.getOrElse(input(i + 1), err(s"invalid escape '\\${input(i + 1)}'"))
+              i += 2
             case '"'               => closed = true; i += 1
             case ch                => sb += ch; i += 1
           }

@@ -2,18 +2,16 @@ package repro
 
 import org.apache.spark.sql.DataFrame
 
-import repro.baselines.{S2RdfLike, SparqlGxLike}
-import repro.core.Prost
 import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, BgpSql, SparqlParser}
 
-/** Predicates become partition directory names (`p=<predicate>`) in every
-  * store partitioned by predicate: PRoST's VP tables, SPARQLGX's text
-  * files and S2RDF's VP and ExtVP tables. Read back, they must be the same
-  * strings: `1` and `01` stay two predicates even though both look like
-  * the number one, and a predicate that no directory can name (Spark
-  * reads it back as NULL) is rejected when the store is written instead
-  * of vanishing.
+/** Every store partitioned by predicate — PRoST's VP tables, SPARQLGX's
+  * text files and S2RDF's VP and ExtVP tables — names a partition by the
+  * predicate's id, never by the predicate itself. So `1` and `01` stay two
+  * predicates even though both look like the number one, and predicates
+  * no directory could name (the empty string, which Spark writes as its
+  * default partition, and an IRI longer than a file name may be) are
+  * written and queried like any other.
   */
 class PartitionValuesSpec extends SparkSpec {
 
@@ -32,40 +30,42 @@ class PartitionValuesSpec extends SparkSpec {
     "SELECT * WHERE { ?x <1> ?y . ?x <01> ?z }",
   )
 
-  private def oracleCorrect(run: BgpQuery => DataFrame): Unit =
+  private def oracleCorrect(run: BgpQuery => DataFrame, graph: DataFrame, queries: Seq[String]): Unit =
     for (sparql <- queries) withClue(sparql) {
       val q = SparqlParser.parse(sparql)
       Oracle.assertEquivalent(run(q), BgpSql.toSql(q), "triples" -> graph)
     }
 
-  private lazy val prost = TestData.prostStore(graph)
+  /** The configurations whose stores are partitioned by predicate. */
+  private def partitioned(graph: => DataFrame) = TestData.configurations(graph).filter(_._1 != "Rya")
 
-  test("PRoST, mixed: predicates 1 and 01 stay apart") {
-    oracleCorrect(prost.query(_, vpOnly = false))
-  }
+  for ((name, run) <- partitioned(graph))
+    test(s"$name: predicates 1 and 01 stay apart") {
+      oracleCorrect(run, graph, queries)
+    }
 
-  test("PRoST, VP-only: predicates 1 and 01 stay apart") {
-    oracleCorrect(prost.query(_, vpOnly = true))
-  }
+  private val longIri = "http://example.org/" + "x" * 281
 
-  test("SPARQLGX: predicates 1 and 01 stay apart") {
-    val gx = SparqlGxLike.loadFrom(spark, TestData.write(graph, "gx")(SparqlGxLike.writeTo))
-    oracleCorrect(gx.query)
-  }
+  private lazy val unnamable = TripleOps.fromSeq(spark, Seq(
+    ("a", "", "b"),
+    ("b", "", "c"),
+    ("a", "__HIVE_DEFAULT_PARTITION__", "c"),
+    ("b", "__HIVE_DEFAULT_PARTITION__", "a"),
+    ("a", longIri, "1"),
+    ("c", longIri, "2"),
+  ))
 
-  test("S2RDF: predicates 1 and 01 stay apart") {
-    val s2rdf = S2RdfLike.loadFrom(spark, TestData.write(graph, "s2rdf")(S2RdfLike.writeTo))
-    oracleCorrect(s2rdf.query)
-  }
-
-  test("writeTo rejects a predicate no partition directory can name") {
-    for (p <- Seq("", "__HIVE_DEFAULT_PARTITION__");
-         (engine, writeTo) <- Seq[(String, (DataFrame, String) => Any)](
-           "PRoST" -> Prost.writeTo, "SPARQLGX" -> SparqlGxLike.writeTo,
-           "S2RDF" -> S2RdfLike.writeTo)) withClue(s"$engine, predicate \"$p\"") {
-      val unnamable = TripleOps.fromSeq(spark, Seq(("a", p, "b"), ("a", "ex:p", "c")))
-      val e = intercept[IllegalArgumentException](TestData.write(unnamable, "unnamable")(writeTo))
-      assert(e.getMessage.contains(s"predicate \"$p\""), e.getMessage)
+  test("writeTo accepts and queries predicates no partition directory can name") {
+    assert(longIri.length == 300)
+    val queries = Seq(
+      "SELECT * WHERE { ?x <> ?y }",
+      "SELECT * WHERE { ?x <__HIVE_DEFAULT_PARTITION__> ?y }",
+      s"SELECT * WHERE { ?x <$longIri> ?y }",
+      s"SELECT * WHERE { ?x <> ?y . ?y <> ?z . ?x <__HIVE_DEFAULT_PARTITION__> ?w . ?x <$longIri> ?v }",
+      "SELECT * WHERE { ?x <__HIVE_DEFAULT_PARTITION__> ?y . ?y <> ?z }",
+    )
+    for ((name, run) <- partitioned(unnamable)) withClue(name) {
+      oracleCorrect(run, unnamable, queries)
     }
   }
 }

@@ -2,7 +2,7 @@ package repro
 
 import java.nio.file.{Files, Path}
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
 import repro.core.{GraphStats, Prost, ProstDb}
@@ -43,6 +43,27 @@ object TestData {
   /** `graph` written by PRoST's `writeTo` and reopened by its `loadFrom`. */
   def prostStore(graph: DataFrame): ProstDb =
     Prost.loadFrom(graph.sparkSession, write(graph, "prost")(Prost.writeTo))
+
+  /** The five configurations every oracle check runs on — PRoST mixed and
+    * VP-only, SPARQLGX, S2RDF and Rya — each answering from its own
+    * written and reopened store of `graph`. A store is written the first
+    * time its configuration runs a query.
+    */
+  def configurations(graph: => DataFrame): Seq[(String, BgpQuery => DataFrame)] = {
+    def opened[A](prefix: String)(writeTo: (DataFrame, String) => Unit, loadFrom: (SparkSession, String) => A): A =
+      loadFrom(graph.sparkSession, write(graph, prefix)(writeTo))
+    lazy val prost = prostStore(graph)
+    lazy val gx = opened("gx")(SparqlGxLike.writeTo, SparqlGxLike.loadFrom)
+    lazy val s2rdf = opened("s2rdf")(S2RdfLike.writeTo, S2RdfLike.loadFrom)
+    lazy val rya = opened("rya")(RyaLike.writeTo, RyaLike.loadFrom)
+    Seq(
+      "PRoST, mixed" -> (prost.query(_, vpOnly = false)),
+      "PRoST, VP-only" -> (prost.query(_, vpOnly = true)),
+      "SPARQLGX" -> (gx.query(_)),
+      "S2RDF" -> (s2rdf.query(_)),
+      "Rya" -> (rya.query(_)),
+    )
+  }
 
   lazy val triples: DataFrame = {
     val df = WatDivGen.generate(SparkSpec.shared, Scale).cache()

@@ -19,37 +19,39 @@ class PropertyTableSpec extends SparkSpec {
   ))
   private lazy val stats = GraphStats.compute(graph)
   private lazy val pt = PropertyTable.build(graph, stats)
+  private lazy val m = pt.columnFor("ex:m")
+  private lazy val single = pt.columnFor("ex:single")
 
   test("one row per distinct subject") {
     assert(pt.df.count() == 3)
   }
 
   test("one column per predicate plus the subject column") {
-    assert(pt.df.columns.toSet == Set("s", "ex_m", "ex_single"))
+    assert(pt.df.columns.toSet == Set("s", m, single))
   }
 
   test("multi-valued predicate becomes an array column") {
     assert(pt.multiValued == Set("ex:m"))
-    assert(pt.df.schema("ex_m").dataType == ArrayType(StringType, containsNull = false) ||
-           pt.df.schema("ex_m").dataType.isInstanceOf[ArrayType])
+    assert(pt.df.schema(m).dataType == ArrayType(StringType, containsNull = false) ||
+           pt.df.schema(m).dataType.isInstanceOf[ArrayType])
   }
 
   test("single-valued predicate becomes a scalar string column") {
-    assert(pt.df.schema("ex_single").dataType == StringType)
+    assert(pt.df.schema(single).dataType == StringType)
   }
 
   test("array column collects every value of the subject") {
     val values = pt.df.where(col("s") === "ex:a")
-      .select(array_sort(col("ex_m"))).collect().head.getSeq[String](0)
+      .select(array_sort(col(m))).collect().head.getSeq[String](0)
     assert(values == Seq("m1", "m2"))
   }
 
   test("missing predicate yields NULL in the scalar column") {
-    assert(pt.df.where(col("s") === "ex:c").select("ex_single").collect().head.isNullAt(0))
+    assert(pt.df.where(col("s") === "ex:c").select(single).collect().head.isNullAt(0))
   }
 
   test("missing predicate yields an empty array in the list column") {
-    val arr = pt.df.where(col("s") === "ex:b").select("ex_m").collect().head
+    val arr = pt.df.where(col("s") === "ex:b").select(m).collect().head
     assert(arr.isNullAt(0) || arr.getSeq[String](0).isEmpty)
   }
 
@@ -65,7 +67,7 @@ class PropertyTableSpec extends SparkSpec {
     assert(loaded.columnFor == pt.columnFor && loaded.multiValued == pt.multiValued)
     assert(loaded.df.columns.toSet == pt.df.columns.toSet)
     val values = loaded.df.where(col("s") === "ex:a")
-      .select(array_sort(col("ex_m"))).collect().head.getSeq[String](0)
+      .select(array_sort(col(m))).collect().head.getSeq[String](0)
     assert(values == Seq("m1", "m2"))
   }
 

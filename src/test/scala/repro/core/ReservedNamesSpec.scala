@@ -4,11 +4,11 @@ import repro.{Oracle, SparkSpec, TestData}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpSql, SparqlParser}
 
-/** Predicates whose sanitised names would clash with the Property Table's
-  * own columns — the subject column `s` in either case, the `__` working
-  * columns — or with each other after Spark's case-insensitive resolution.
-  * Every query is checked against DuckDB in both modes, on a written and
-  * reopened store.
+/** Predicates that name the Property Table's own columns — the subject
+  * column `s` in either case, the `__` working columns — or that differ
+  * only in letter case, which Spark's column resolution may ignore. Every
+  * query is checked against DuckDB on PRoST in both modes and on the three
+  * baselines, each on a written and reopened store.
   */
 class ReservedNamesSpec extends SparkSpec {
 
@@ -42,6 +42,12 @@ class ReservedNamesSpec extends SparkSpec {
     test(s"reopened, ${if (vpOnly) "VP-only" else "mixed"}: oracle-correct on $sparql") {
       val q = SparqlParser.parse(sparql)
       Oracle.assertEquivalent(reopened.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
+    }
+
+  for ((name, run) <- TestData.configurations(graph).filterNot(_._1.startsWith("PRoST")); sparql <- queries)
+    test(s"$name: oracle-correct on $sparql") {
+      val q = SparqlParser.parse(sparql)
+      Oracle.assertEquivalent(run(q), BgpSql.toSql(q), "triples" -> graph)
     }
 
   test("the star over every clashing predicate reads the Property Table") {

@@ -36,7 +36,7 @@ class VpStoreSpec extends SparkSpec {
   test("parquet write/load round trip") {
     val dir = TestData.freshDir("vp")
     VpStore.write(graph, stats, dir)
-    val loaded = VpStore.load(spark, dir)
+    val loaded = VpStore.load(spark, dir, stats)
     assert(loaded.tableFor("ex:p").count() == 2)
     assert(loaded.tableFor("ex:q").collect().head.getString(1) == "1")
   }

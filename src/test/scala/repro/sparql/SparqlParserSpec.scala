@@ -97,6 +97,16 @@ class SparqlParserSpec extends AnyFunSuite {
     assert(q.patterns.head.o == Lit("a\"b"))
   }
 
+  test("escaped tab inside a literal is decoded") {
+    val q = parse("SELECT ?s WHERE { ?s ex:p \"a\\tb\" }")
+    assert(q.patterns.head.o == Lit("a\tb"))
+  }
+
+  test("error: an escape SPARQL does not define is named") {
+    val e = intercept[ParseException](parse("SELECT ?s WHERE { ?s ex:p \"\\q\" }"))
+    assert(e.getMessage.contains("'\\q'"), e.getMessage)
+  }
+
   test("dollar-sign variables are accepted") {
     val q = parse("SELECT $a WHERE { $a ex:p ?b }")
     assert(q.projection == Seq(Var("a")))
