@@ -62,13 +62,8 @@ final class S2RdfLike(
   def query(q: BgpQuery): DataFrame = {
     val chosen: Map[TriplePattern, (DataFrame, Long)] =
       q.patterns.map(tp => tp -> chooseTable(tp, q)).toMap
-    def weight(tp: TriplePattern): Double = {
-      var w = chosen(tp)._2.toDouble
-      if (!tp.s.isVariable) w *= 0.01
-      if (!tp.o.isVariable) w *= 0.01
-      w
-    }
-    val joined = EvalCore.connectedOrder(q.patterns)(_.variables, weight)
+    val joined = EvalCore.connectedOrder(q.patterns)(_.variables,
+        tp => EvalCore.constantWeight(tp, chosen(tp)._2))
       .map(tp => EvalCore.bind(chosen(tp)._1, tp))
       .reduceLeft(EvalCore.joinShared(_, _))
     EvalCore.project(joined, q.effectiveProjection, q.distinct)

@@ -1,13 +1,11 @@
 package repro.baselines
 
-import scala.util.matching.Regex
-
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.functions.{col, concat_ws}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
-import repro.core.{EvalCore, GraphStats, Prost}
+import repro.core.{EvalCore, GraphStats, Prost, Tsv}
 import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
@@ -33,7 +31,7 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
     data.where(stats.rowsOf(predicate, col("p"))).select("value").rdd.map { r =>
       val line = r.getString(0)
       val i = line.indexOf('\t')
-      (SparqlGxLike.unescape(line.substring(0, i)), SparqlGxLike.unescape(line.substring(i + 1)))
+      (Tsv.decode(line.substring(0, i)), Tsv.decode(line.substring(i + 1)))
     }
 
   /** SPARQLGX's join ordering: ascending estimated size; constants shrink
@@ -41,14 +39,8 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
     * the already-joined set when possible.
     */
   private[baselines] def orderPatterns(patterns: Seq[TriplePattern]): Seq[TriplePattern] =
-    EvalCore.connectedOrder(patterns)(_.variables, weight)
-
-  private def weight(tp: TriplePattern): Double = {
-    var w = stats(tp.p.value).tripleCount.toDouble
-    if (!tp.s.isVariable) w *= 0.01
-    if (!tp.o.isVariable) w *= 0.01
-    w
-  }
+    EvalCore.connectedOrder(patterns)(_.variables,
+      tp => EvalCore.constantWeight(tp, stats(tp.p.value).tripleCount))
 
   /** Evaluate one pattern to an RDD of variable bindings. */
   private def evalPattern(tp: TriplePattern): RDD[Map[String, String]] = {
@@ -101,22 +93,6 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
 
 object SparqlGxLike {
 
-  /** `term` with backslash, tab, LF and CR escaped as N-Triples does, so
-    * it holds no tab or line break of its own.
-    */
-  private def escape(term: String): String =
-    term.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
-
-  private val Escaped = """\\(.)""".r
-
-  /** The term [[escape]] turned into `field`. */
-  private def unescape(field: String): String =
-    Escaped.replaceAllIn(field, m => Regex.quoteReplacement(m.group(1) match {
-      case "t" => "\t"; case "n" => "\n"; case "r" => "\r"; case c => c
-    }))
-
-  private val line = udf((s: String, o: String) => s"${escape(s)}\t${escape(o)}")
-
   /** SPARQLGX loading phase: per-predicate gzip **text** directories `p=<id>`
     * (one partitioned write) + a stats file. This is the path
     * timed/measured for Table 1; text is what keeps SPARQLGX's footprint
@@ -126,7 +102,8 @@ object SparqlGxLike {
     val cached = triples.cache()
     val stats = GraphStats.compute(cached)
     cached
-      .select(line(col("s"), col("o")) as "value", stats.idOf(col("p")) as "p")
+      .select(concat_ws("\t", Tsv.encode(col("s")), Tsv.encode(col("o"))) as "value",
+        stats.idOf(col("p")) as "p")
       .repartition(col("p"))
       .write.mode("overwrite").partitionBy("p").option("compression", "gzip")
       .text(s"$dir/data")

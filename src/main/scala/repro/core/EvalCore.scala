@@ -65,6 +65,13 @@ object EvalCore {
     ordered.result()
   }
 
+  /** The weight both SPARQLGX and S2RDF order patterns by: the size of
+    * the table `tp` reads, shrunk a hundredfold for a constant subject and
+    * again for a constant object.
+    */
+  def constantWeight(tp: TriplePattern, size: Long): Double =
+    Seq(tp.s, tp.o).filterNot(_.isVariable).foldLeft(size.toDouble)((w, _) => w * 0.01)
+
   /** The query's answer columns, deduplicated if it asked for `DISTINCT`. */
   def project(df: DataFrame, projection: Seq[Var], distinct: Boolean): DataFrame = {
     val out = df.select(projection.map(v => col(v.name)): _*)

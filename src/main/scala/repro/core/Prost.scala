@@ -66,8 +66,7 @@ object Prost {
   }
 
   /** Persist the stats as TSV: predicate, tripleCount, distinctSubjects,
-    * maxPerSubject (one line each, in id order). A predicate holding a tab
-    * or line break cannot be written as one TSV field and is rejected.
+    * maxPerSubject (one line each, in id order).
     */
   def writeStats(stats: GraphStats, path: String): Unit =
     Tsv.write(path, stats.predicates.map { p =>

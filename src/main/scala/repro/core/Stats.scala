@@ -32,9 +32,6 @@ final case class GraphStats(byPredicate: Map[String, PredicateStats]) {
   def apply(predicate: String): PredicateStats =
     byPredicate.getOrElse(predicate, PredicateStats(predicate, 0L, 0L, 0L))
 
-  /** True if the graph contains the predicate at all. */
-  def hasPredicate(predicate: String): Boolean = byPredicate.contains(predicate)
-
   /** All predicates, sorted: the order of their ids. */
   lazy val predicates: Seq[String] = byPredicate.keys.toSeq.sorted
 

@@ -2,31 +2,55 @@ package repro.core
 
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
-import scala.jdk.CollectionConverters._
 
-/** The tab-separated metadata files the stores keep next to their tables
-  * (`stats.tsv`, S2RDF's `ext_sizes.tsv`): one record per line, UTF-8.
-  * Local filesystem only, like all the reproduction's storage.
+import scala.jdk.CollectionConverters._
+import scala.util.matching.Regex
+
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.{udf, when}
+
+/** The one rule for a term in a field of a tab-separated line, used by
+  * every text file the reproduction reads: the source dump, SPARQLGX's
+  * partitions, `stats.tsv` and S2RDF's `ext_sizes.tsv`. As in N-Triples,
+  * `\` becomes `\\` and tab, LF and CR become `\t`, `\n` and `\r`, so any
+  * term is one field of one line. Local filesystem only, like all storage.
   */
 object Tsv {
 
-  /** Write `rows` to `path`, one tab-joined line each. A field holding a
-    * tab or line break cannot be written as one TSV field and is rejected
-    * before anything is written.
+  /** `term` with backslash, tab, LF and CR escaped. */
+  def encode(term: String): String =
+    term.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+
+  private val Escaped = """\\(.)""".r
+
+  /** The term [[encode]] turned into `field`. */
+  def decode(field: String): String =
+    Escaped.replaceAllIn(field, m => Regex.quoteReplacement(m.group(1) match {
+      case "t" => "\t"; case "n" => "\n"; case "r" => "\r"; case c => c
+    }))
+
+  /** [[encode]] of each value of `c`. */
+  def encode(c: Column): Column = viaUdf(encode(_: String))(c)
+
+  /** [[decode]] of each value of `c`. */
+  def decode(c: Column): Column = viaUdf(decode(_: String))(c)
+
+  /** `f` of each value of `c` that holds `\`, tab, LF or CR; any other
+    * value, which `f` keeps as it is, passes by the UDF.
     */
+  private def viaUdf(f: String => String)(c: Column): Column =
+    when(Seq("\\", "\t", "\n", "\r").map(c.contains).reduce(_ || _), udf(f).apply(c)).otherwise(c)
+
+  /** Write `rows` to `path`, one line each of its [[encode]]d fields. */
   def write(path: String, rows: Seq[Seq[String]]): Unit = {
-    rows.flatten.find(_.exists(c => c == '\t' || c == '\n' || c == '\r')).foreach { f =>
-      throw new IllegalArgumentException(
-        s"cannot write $path: field ${escape(f)} contains a tab or line break")
-    }
     Files.createDirectories(Paths.get(path).toAbsolutePath.getParent)
-    Files.write(Paths.get(path), rows.map(_.mkString("\t")).asJava, StandardCharsets.UTF_8)
+    Files.write(Paths.get(path), rows.map(_.map(encode).mkString("\t")).asJava, StandardCharsets.UTF_8)
     ()
   }
 
   /** Parse every non-empty line of `path` with `parse`, which gets the
-    * line's `width` fields and returns the record or why it is malformed.
-    * A bad line fails with `path:line: reason: "escaped line"`.
+    * line's `width` [[decode]]d fields and returns the record or why it is
+    * malformed. A bad line fails with `path:line: reason: "encoded line"`.
     */
   def read[A](path: String, width: Int)(parse: Array[String] => Either[String, A]): Seq[A] = {
     val lines = Files.readAllLines(Paths.get(path), StandardCharsets.UTF_8).asScala.toSeq
@@ -34,12 +58,9 @@ object Tsv {
       val fields = line.split("\t", -1)
       val parsed =
         if (fields.length != width) Left(s"expected $width tab-separated fields, found ${fields.length}")
-        else parse(fields)
-      parsed.fold(why => throw new IllegalArgumentException(s"$path:${i + 1}: $why: ${escape(line)}"), identity)
+        else parse(fields.map(decode))
+      parsed.fold(why =>
+        throw new IllegalArgumentException(s"$path:${i + 1}: $why: \"${encode(line)}\""), identity)
     }
   }
-
-  /** `s` quoted, with tabs and line breaks shown as escapes. */
-  def escape(s: String): String =
-    "\"" + s.replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r") + "\""
 }

@@ -3,6 +3,8 @@ package repro.rdf
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.core.Tsv
+
 /** Helpers for the canonical triples DataFrame: three string columns
   * `s`, `p`, `o`. Every storage layout in the reproduction is derived from
   * this representation, and the DuckDB oracle consumes it directly.
@@ -19,23 +21,25 @@ object TripleOps {
   def canonical(df: DataFrame): DataFrame =
     df.select("s", "p", "o").distinct()
 
-  /** Write triples as tab-separated text (`s \t p \t o` per line) — the
-    * "source file" format the loading benchmarks start from, standing in
-    * for the N-Triples input of the paper.
+  /** Write triples as tab-separated text (`s \t p \t o` per line, each term
+    * [[Tsv.encode]]d) — the "source file" the loading benchmarks start
+    * from, standing in for the N-Triples input of the paper.
     */
   def writeText(df: DataFrame, path: String): Unit =
-    df.select(concat_ws("\t", col("s"), col("p"), col("o")) as "value")
+    df.select(concat_ws("\t", Seq("s", "p", "o").map(c => Tsv.encode(col(c))): _*) as "value")
       .write.mode("overwrite").text(path)
 
-  /** Read triples written by [[writeText]]. The object is everything after
-    * the second tab, so a literal holding tabs is read back whole.
+  /** Read triples written by [[writeText]]. A line that does not split
+    * into exactly three fields fails the read with an error naming its file
+    * and showing the line escaped.
     */
   def readText(spark: SparkSession, path: String): DataFrame = {
-    val parts = split(col("value"), "\t", 3)
-    spark.read.text(path).select(
-      parts.getItem(0) as "s",
-      parts.getItem(1) as "p",
-      parts.getItem(2) as "o",
-    )
+    val fields = split(col("value"), "\t")
+    val malformed = concat(lit("malformed line in "), col("_metadata.file_path"),
+      lit(": expected 3 tab-separated fields, found "), size(fields).cast("string"),
+      lit(": \""), Tsv.encode(col("value")), lit("\""))
+    spark.read.text(path)
+      .select(when(size(fields) === 3, fields).otherwise(raise_error(malformed)) as "f")
+      .select(Seq("s", "p", "o").zipWithIndex.map { case (c, i) => Tsv.decode(col("f")(i)) as c }: _*)
   }
 }

@@ -44,9 +44,6 @@ final case class TriplePattern(s: Term, p: Iri, o: Term) {
   def hasLiteral: Boolean =
     s.isInstanceOf[Lit] || o.isInstanceOf[Lit]
 
-  /** True if subject or object is any constant. */
-  def hasConstantSO: Boolean = !s.isVariable || !o.isVariable
-
   override def toString: String = s"$s $p $o ."
 }
 

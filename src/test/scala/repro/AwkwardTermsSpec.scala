@@ -1,12 +1,15 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
+
 import repro.rdf.TripleOps
-import repro.sparql.{BgpSql, SparqlParser}
+import repro.sparql.{BgpQuery, BgpSql, SparqlParser}
 
 /** Terms no store may mangle: a tab in a subject, line feeds and carriage
-  * returns in objects, quotes, backslashes and non-ASCII characters, and a
-  * join on a literal that holds a line break. Every configuration is
-  * checked against DuckDB on its written and reopened store.
+  * returns in objects, quotes, backslashes and non-ASCII characters, a
+  * join on a literal that holds a line break, and predicates holding a tab,
+  * a line break or a backslash. Every configuration is checked against
+  * DuckDB on its written and reopened store.
   */
 class AwkwardTermsSpec extends SparkSpec {
 
@@ -19,6 +22,12 @@ class AwkwardTermsSpec extends SparkSpec {
     ("é", "ex:q", "日本語"),
     ("é", "ex:p", "a\tb"),
     ("a\tb", "ex:q", "z"),
+    ("a", "ex:a\tb", "x"),
+    ("b", "ex:a\tb", "y"),
+    ("x", "ex:a\nb", "a"),
+    ("y", "ex:a\rb", "b"),
+    ("a", "ex:a\\b", "z"),
+    ("a", "ex:a\\tb", "w"),
   ))
 
   private val queries = Seq(
@@ -30,9 +39,30 @@ class AwkwardTermsSpec extends SparkSpec {
     "SELECT ?o WHERE { \"a\\tb\" ex:p ?o }",
   )
 
-  for ((name, run) <- TestData.configurations(graph); sparql <- queries)
+  private val predicateQueries = Seq(
+    "SELECT * WHERE { ?x <ex:a\tb> ?y }",
+    "SELECT * WHERE { ?x <ex:a\nb> ?y }",
+    "SELECT * WHERE { ?x <ex:a\rb> ?y }",
+    "SELECT * WHERE { ?x <ex:a\\b> ?y }",
+    "SELECT * WHERE { ?x <ex:a\\tb> ?y }",
+    "SELECT * WHERE { ?x <ex:a\tb> ?y . ?y <ex:a\nb> ?z }",
+    "SELECT * WHERE { ?x <ex:a\tb> ?y . ?y <ex:a\rb> ?z . ?x <ex:a\\b> ?w }",
+  )
+
+  private def oracleCorrect(run: BgpQuery => DataFrame, sparql: String): Unit = {
+    val q = SparqlParser.parse(sparql)
+    Oracle.assertEquivalent(run(q), BgpSql.toSql(q), "triples" -> graph)
+  }
+
+  private val configurations = TestData.configurations(graph)
+
+  for ((name, run) <- configurations; sparql <- queries)
     test(s"$name: oracle-correct on $sparql") {
-      val q = SparqlParser.parse(sparql)
-      Oracle.assertEquivalent(run(q), BgpSql.toSql(q), "triples" -> graph)
+      oracleCorrect(run, sparql)
+    }
+
+  for ((name, run) <- configurations)
+    test(s"$name: predicates holding a tab, line break or backslash") {
+      for (sparql <- predicateQueries) withClue(sparql)(oracleCorrect(run, sparql))
     }
 }

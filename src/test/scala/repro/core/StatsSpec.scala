@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
 import repro.rdf.TripleOps
 
 class StatsSpec extends SparkSpec {
@@ -40,11 +40,6 @@ class StatsSpec extends SparkSpec {
     assert(st.tripleCount == 0 && st.distinctSubjects == 0 && !st.isMultiValued)
   }
 
-  test("hasPredicate distinguishes present from absent") {
-    assert(stats.hasPredicate("ex:p"))
-    assert(!stats.hasPredicate("ex:missing"))
-  }
-
   test("totalTriples sums all predicates") {
     assert(stats.totalTriples == 7)
   }
@@ -65,14 +60,14 @@ class StatsSpec extends SparkSpec {
   }
 
   test("TSV round trip preserves every field") {
-    val dir = java.nio.file.Files.createTempDirectory("stats").toString
+    val dir = TestData.freshDir("stats")
     Prost.writeStats(stats, s"$dir/stats.tsv")
     val back = Prost.readStats(s"$dir/stats.tsv")
     assert(back == stats)
   }
 
   test("readStats names the file and line of a malformed line") {
-    val path = java.nio.file.Files.createTempDirectory("stats-bad").resolve("stats.tsv")
+    val path = java.nio.file.Paths.get(TestData.freshDir("stats-bad"), "stats.tsv")
     java.nio.file.Files.writeString(path, "ex:p\t3\t2\t2\n\nex:q\t3\t3\n")
     val e = intercept[IllegalArgumentException](Prost.readStats(path.toString))
     assert(e.getMessage.startsWith(s"$path:3:"), e.getMessage)
@@ -83,14 +78,14 @@ class StatsSpec extends SparkSpec {
     assert(nonNumeric.getMessage.startsWith(s"$path:1:"), nonNumeric.getMessage)
   }
 
-  test("writeStats rejects a predicate holding a tab or line break, naming it") {
-    val dir = java.nio.file.Files.createTempDirectory("stats-reject").toString
-    for (p <- Seq("ex:a\tb", "ex:a\nb")) {
-      val bad = GraphStats(Map(p -> PredicateStats(p, 1, 1, 1)))
-      val e = intercept[IllegalArgumentException](Prost.writeStats(bad, s"$dir/stats.tsv"))
-      val shown = p.replace("\t", "\\t").replace("\n", "\\n")
-      assert(e.getMessage.contains(shown), e.getMessage)
-    }
-    assert(!java.nio.file.Files.exists(java.nio.file.Paths.get(s"$dir/stats.tsv")))
+  test("TSV round trip keeps predicates holding tabs, line breaks and backslashes") {
+    val dir = TestData.freshDir("stats-escaped")
+    val predicates = Seq("ex:a\tb", "ex:a\nb", "ex:a\rb", "ex:a\\b", "ex:a\\tb")
+    val odd = GraphStats(predicates.zipWithIndex.map { case (p, i) =>
+      p -> PredicateStats(p, i + 1L, 1, i + 1L)
+    }.toMap)
+    Prost.writeStats(odd, s"$dir/stats.tsv")
+    val back = Prost.readStats(s"$dir/stats.tsv")
+    assert(back == odd)
   }
 }

@@ -1,5 +1,7 @@
 package repro.rdf
 
+import java.nio.file.{Files, Paths}
+
 import repro.{Oracle, SparkSpec, TestData}
 import repro.sparql.{BgpSql, SparqlParser}
 
@@ -62,5 +64,47 @@ class TripleOpsSpec extends SparkSpec {
       val q = SparqlParser.parse(sparql)
       Oracle.assertEquivalent(db.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
     }
+  }
+
+  test("text round trip keeps tabs, line breaks and backslashes in any term") {
+    val dir = TestData.freshDir("triples-text")
+    val graph = TripleOps.fromSeq(spark, Seq(
+      ("a\tb", "ex:p", "x"),
+      ("c", "ex:p", "one\ntwo"),
+      ("d", "ex:p", "carriage\rreturn"),
+      ("back\\slash", "ex:q\\t", "a\\tb"),
+      ("c", "ex:q\\t", "one\ntwo"),
+    ))
+    TripleOps.writeText(graph, s"$dir/t")
+    val back = TripleOps.readText(spark, s"$dir/t")
+    assert(back.collect().map(_.toSeq).toSet == graph.collect().map(_.toSeq).toSet)
+
+    val db = TestData.prostStore(back)
+    for (sparql <- Seq(
+           "SELECT * WHERE { ?x ex:p ?v }",
+           "SELECT ?v WHERE { \"a\\tb\" ex:p ?v }",
+           "SELECT ?x WHERE { ?x ex:p \"one\\ntwo\" }",
+           "SELECT ?x WHERE { ?x ex:p \"carriage\\rreturn\" }",
+           "SELECT * WHERE { ?x <ex:q\\t> ?v }",
+           "SELECT ?x WHERE { ?x <ex:q\\t> \"a\\\\tb\" }",
+           "SELECT * WHERE { ?x ex:p ?v . ?y <ex:q\\t> ?v }");
+         vpOnly <- Seq(false, true)) {
+      val q = SparqlParser.parse(sparql)
+      Oracle.assertEquivalent(db.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
+    }
+  }
+
+  test("readText rejects a line without three fields, naming the file") {
+    val dir = TestData.freshDir("triples-bad")
+    for ((line, shown) <- Seq(
+           "ex:a" -> "\"ex:a\"",
+           "ex:a\tex:p" -> "\"ex:a\\tex:p\"",
+           "ex:a\tex:p\tex:b\tex:c" -> "\"ex:a\\tex:p\\tex:b\\tex:c\""))
+      withClue(shown) {
+        Files.writeString(Paths.get(dir, "bad.txt"), s"ex:b\tex:p\tex:c\n$line\n")
+        val e = intercept[Exception](TripleOps.readText(spark, dir).collect())
+        assert(e.getMessage.contains("bad.txt"), e.getMessage)
+        assert(e.getMessage.contains(shown), e.getMessage)
+      }
   }
 }
