@@ -6,6 +6,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.EvalCore
+import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, TriplePattern}
 import repro.util.Timing
 
@@ -73,16 +74,16 @@ object RyaLike {
 
   private val IndexNames = Seq("spo", "pos", "osp")
 
-  /** Rya loading phase (Table 1): three sorted Parquet copies. */
-  def writeTo(triples: DataFrame, dir: String): Unit = {
-    val cached = triples.cache()
-    def sorted(cols: String*): DataFrame =
-      cached.repartition(col(cols.head)).sortWithinPartitions(cols.map(col): _*)
-    sorted("s", "p", "o").write.mode("overwrite").parquet(s"$dir/spo")
-    sorted("p", "o", "s").write.mode("overwrite").parquet(s"$dir/pos")
-    sorted("o", "s", "p").write.mode("overwrite").parquet(s"$dir/osp")
-    cached.unpersist()
-    ()
+  /** Rya loading phase (Table 1): three sorted Parquet copies, opened. */
+  def writeTo(triples: DataFrame, dir: String): RyaLike = {
+    TripleOps.withCached(triples) { cached =>
+      def sorted(cols: String*): DataFrame =
+        cached.repartition(col(cols.head)).sortWithinPartitions(cols.map(col): _*)
+      sorted("s", "p", "o").write.mode("overwrite").parquet(s"$dir/spo")
+      sorted("p", "o", "s").write.mode("overwrite").parquet(s"$dir/pos")
+      sorted("o", "s", "p").write.mode("overwrite").parquet(s"$dir/osp")
+    }
+    loadFrom(triples.sparkSession, dir)
   }
 
   /** Open a store written by [[writeTo]]; its scratch directory is

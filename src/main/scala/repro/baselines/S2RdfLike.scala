@@ -6,6 +6,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{EvalCore, GraphStats, Prost, Tsv, VpStore}
+import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, TriplePattern, Var}
 import repro.util.Timing
 
@@ -29,11 +30,9 @@ final class S2RdfLike(
     extSizes: Map[(String, String, String), Long], // (pos, p1, p2) -> rows
 ) {
 
-  /** The precomputed reduction of `p1` against `p2` at `pos`, if any. */
-  private def extTable(pos: String, p1: String, p2: String): Option[DataFrame] =
-    extSizes.get((pos, p1, p2)).map { _ =>
-      ext(pos).where(col("p1") === stats.ids(p1) && col("p2") === stats.ids(p2)).select("s", "o")
-    }
+  /** The precomputed reduction of `p1` against `p2` at `pos`, which `extSizes` lists. */
+  private def extTable(pos: String, p1: String, p2: String): DataFrame =
+    ext(pos).where(col("p1") === stats.ids(p1) && col("p2") === stats.ids(p2)).select("s", "o")
 
   /** Pick the smallest applicable table for pattern `tp` within `query`:
     * every other pattern sharing a variable offers a candidate reduction;
@@ -52,7 +51,7 @@ final class S2RdfLike(
     if (candidates.isEmpty) (vpTable, vpSize)
     else {
       val (pos, p2, size) = candidates.minBy(_._3)
-      if (size < vpSize) (extTable(pos, tp.p.value, p2).get, size) else (vpTable, vpSize)
+      if (size < vpSize) (extTable(pos, tp.p.value, p2), size) else (vpTable, vpSize)
     }
   }
 
@@ -82,7 +81,7 @@ object S2RdfLike {
     spark.read.schema("s STRING, o STRING, p1 INT, p2 INT").parquet(s"$dir/extvp_$pos")
 
   /** S2RDF loading phase (the Table 1 cost): VP Parquet + the three ExtVP
-    * families + stats + size metadata.
+    * families + stats + size metadata, then the opened store.
     *
     * Faithful to the original system, the reductions are computed **one
     * predicate at a time** (S2RDF issues one SQL job per ExtVP table
@@ -92,37 +91,37 @@ object S2RdfLike {
     * partner keys makes each output row a semi-join survivor, no dedup
     * needed.
     */
-  def writeTo(triples: DataFrame, dir: String): Unit = {
-    val cached = triples.cache()
-    val stats = GraphStats.compute(cached)
-    VpStore.write(cached, stats, s"$dir/vp")
+  def writeTo(triples: DataFrame, dir: String): S2RdfLike = {
+    TripleOps.withCached(triples) { cached =>
+      val stats = GraphStats.compute(cached)
+      VpStore.write(cached, stats, s"$dir/vp")
 
-    val bySubject = cached.select(stats.idOf(col("p")) as "p2", col("s") as "k").distinct().cache()
-    val byObject  = cached.select(stats.idOf(col("p")) as "p2", col("o") as "k").distinct().cache()
-    // The families below are appended per predicate: drop an earlier write's.
-    Positions.foreach(pos => Timing.deleteTree(Paths.get(s"$dir/extvp_$pos")))
-    stats.predicates.foreach { p1 =>
-      val id = stats.ids(p1)
-      val left = cached.where(col("p") === p1)
-        .select(lit(id) as "p1", col("s"), col("o"))
-      def append(pos: String, df: DataFrame): Unit =
-        df.select("p1", "p2", "s", "o")
-          .write.mode("append").partitionBy("p1", "p2").parquet(s"$dir/extvp_$pos")
-      append("SS", left.join(bySubject.where(col("p2") =!= id), left("s") === bySubject("k")))
-      append("SO", left.join(byObject, left("s") === byObject("k")))
-      append("OS", left.join(bySubject, left("o") === bySubject("k")))
+      val bySubject = cached.select(stats.idOf(col("p")) as "p2", col("s") as "k").distinct().cache()
+      val byObject  = cached.select(stats.idOf(col("p")) as "p2", col("o") as "k").distinct().cache()
+      // The families below are appended per predicate: drop an earlier write's.
+      Positions.foreach(pos => Timing.deleteTree(Paths.get(s"$dir/extvp_$pos")))
+      stats.predicates.foreach { p1 =>
+        val id = stats.ids(p1)
+        val left = cached.where(col("p") === p1)
+          .select(lit(id) as "p1", col("s"), col("o"))
+        def append(pos: String, df: DataFrame): Unit =
+          df.select("p1", "p2", "s", "o")
+            .write.mode("append").partitionBy("p1", "p2").parquet(s"$dir/extvp_$pos")
+        append("SS", left.join(bySubject.where(col("p2") =!= id), left("s") === bySubject("k")))
+        append("SO", left.join(byObject, left("s") === byObject("k")))
+        append("OS", left.join(bySubject, left("o") === bySubject("k")))
+      }
+      bySubject.unpersist(); byObject.unpersist()
+      val sizes = Positions.flatMap { pos =>
+        readExt(cached.sparkSession, dir, pos).groupBy("p1", "p2").count().collect()
+          .map(r => (pos, stats.predicates(r.getInt(0)), stats.predicates(r.getInt(1))) -> r.getLong(2))
+      }
+      Tsv.write(s"$dir/ext_sizes.tsv", sizes.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
+        Seq(pos, p1, p2, n.toString)
+      })
+      Prost.writeStats(stats, s"$dir/stats.tsv")
     }
-    bySubject.unpersist(); byObject.unpersist()
-    val sizes = Positions.flatMap { pos =>
-      readExt(cached.sparkSession, dir, pos).groupBy("p1", "p2").count().collect()
-        .map(r => (pos, stats.predicates(r.getInt(0)), stats.predicates(r.getInt(1))) -> r.getLong(2))
-    }
-    Tsv.write(s"$dir/ext_sizes.tsv", sizes.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
-      Seq(pos, p1, p2, n.toString)
-    })
-    Prost.writeStats(stats, s"$dir/stats.tsv")
-    cached.unpersist()
-    ()
+    loadFrom(triples.sparkSession, dir)
   }
 
   /** Open a store written by [[writeTo]]. The ExtVP sizes are read first:

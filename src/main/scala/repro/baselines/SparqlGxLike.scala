@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions.{col, concat_ws}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
 import repro.core.{EvalCore, GraphStats, Prost, Tsv}
+import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
@@ -95,21 +96,21 @@ object SparqlGxLike {
 
   /** SPARQLGX loading phase: per-predicate gzip **text** directories `p=<id>`
     * (one partitioned write) + a stats file. This is the path
-    * timed/measured for Table 1; text is what keeps SPARQLGX's footprint
-    * the smallest.
+    * timed/measured for Table 1, with the opened store it returns; text is
+    * what keeps SPARQLGX's footprint the smallest.
     */
-  def writeTo(triples: DataFrame, dir: String): Unit = {
-    val cached = triples.cache()
-    val stats = GraphStats.compute(cached)
-    cached
-      .select(concat_ws("\t", Tsv.encode(col("s")), Tsv.encode(col("o"))) as "value",
-        stats.idOf(col("p")) as "p")
-      .repartition(col("p"))
-      .write.mode("overwrite").partitionBy("p").option("compression", "gzip")
-      .text(s"$dir/data")
-    Prost.writeStats(stats, s"$dir/stats.tsv")
-    cached.unpersist()
-    ()
+  def writeTo(triples: DataFrame, dir: String): SparqlGxLike = {
+    TripleOps.withCached(triples) { cached =>
+      val stats = GraphStats.compute(cached)
+      cached
+        .select(concat_ws("\t", Tsv.encode(col("s")), Tsv.encode(col("o"))) as "value",
+          stats.idOf(col("p")) as "p")
+        .repartition(col("p"))
+        .write.mode("overwrite").partitionBy("p").option("compression", "gzip")
+        .text(s"$dir/data")
+      Prost.writeStats(stats, s"$dir/stats.tsv")
+    }
+    loadFrom(triples.sparkSession, dir)
   }
 
   /** Open a store written by [[writeTo]]; the schema is given, so opening

@@ -21,13 +21,20 @@ object Tsv {
   def encode(term: String): String =
     term.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
 
-  private val Escaped = """\\(.)""".r
+  private val Escape = """(?s)\\(.?)""".r
+  private val Unescaped = Map("\\" -> "\\", "t" -> "\t", "n" -> "\n", "r" -> "\r")
 
-  /** The term [[encode]] turned into `field`. */
+  /** The term [[encode]] turned into `field`, or why `field` is not one:
+    * it holds an escape [[encode]] never writes, or ends in a lone `\`.
+    */
+  private def decoded(field: String): Either[String, String] =
+    Escape.findAllMatchIn(field).map(_.group(1)).find(!Unescaped.contains(_))
+      .map(c => if (c.isEmpty) "trailing \\" else s"unknown escape \\$c")
+      .toLeft(Escape.replaceAllIn(field, m => Regex.quoteReplacement(Unescaped(m.group(1)))))
+
+  /** [[decoded]], failing with the reason it gives and `field`. */
   def decode(field: String): String =
-    Escaped.replaceAllIn(field, m => Regex.quoteReplacement(m.group(1) match {
-      case "t" => "\t"; case "n" => "\n"; case "r" => "\r"; case c => c
-    }))
+    decoded(field).fold(why => throw new IllegalArgumentException(s"$why in \"$field\""), identity)
 
   /** [[encode]] of each value of `c`. */
   def encode(c: Column): Column = viaUdf(encode(_: String))(c)
@@ -56,9 +63,10 @@ object Tsv {
     val lines = Files.readAllLines(Paths.get(path), StandardCharsets.UTF_8).asScala.toSeq
     lines.zipWithIndex.filter(_._1.nonEmpty).map { case (line, i) =>
       val fields = line.split("\t", -1)
+      val (bad, terms) = fields.partitionMap(decoded)
       val parsed =
         if (fields.length != width) Left(s"expected $width tab-separated fields, found ${fields.length}")
-        else parse(fields.map(decode))
+        else bad.headOption.toLeft(terms).flatMap(parse)
       parsed.fold(why =>
         throw new IllegalArgumentException(s"$path:${i + 1}: $why: \"${encode(line)}\""), identity)
     }

@@ -53,28 +53,21 @@ final class BenchEnv(val spark: SparkSession, val scale: Double, baseDir: String
     ()
   }
 
-  /** One system's Table 1 load: the wall time of `writeAndOpen`, which
+  /** One system's Table 1 load: the wall time of its `writeTo`, which
     * writes the store into `<baseDir>/<system lower-cased>` and opens it
     * once, and the bytes written there.
     */
-  private def load[A](system: String)(writeAndOpen: (DataFrame, String) => A): (A, LoadReport) = {
+  private def load[A](system: String)(writeTo: (DataFrame, String) => A): (A, LoadReport) = {
     warmedUp
     val dir = s"$baseDir/${system.toLowerCase}"
-    val (store, ms) = Timing.timed(writeAndOpen(freshTriples, dir))
+    val (store, ms) = Timing.timed(writeTo(freshTriples, dir))
     (store, LoadReport(system, Timing.dirBytes(Paths.get(dir)), ms))
   }
 
-  /** A baseline's `writeTo` then its `loadFrom`, as `Prost.writeTo` does. */
-  private def thenOpen[A](writeTo: (DataFrame, String) => Unit, loadFrom: (SparkSession, String) => A)(
-      triples: DataFrame, dir: String): A = {
-    writeTo(triples, dir)
-    loadFrom(spark, dir)
-  }
-
   lazy val prostLoad: (ProstDb, LoadReport) = load("PRoST")(Prost.writeTo)
-  lazy val gxLoad: (SparqlGxLike, LoadReport) = load("SPARQLGX")(thenOpen(SparqlGxLike.writeTo, SparqlGxLike.loadFrom))
-  lazy val s2rdfLoad: (S2RdfLike, LoadReport) = load("S2RDF")(thenOpen(S2RdfLike.writeTo, S2RdfLike.loadFrom))
-  lazy val ryaLoad: (RyaLike, LoadReport) = load("Rya")(thenOpen(RyaLike.writeTo, RyaLike.loadFrom))
+  lazy val gxLoad: (SparqlGxLike, LoadReport) = load("SPARQLGX")(SparqlGxLike.writeTo)
+  lazy val s2rdfLoad: (S2RdfLike, LoadReport) = load("S2RDF")(S2RdfLike.writeTo)
+  lazy val ryaLoad: (RyaLike, LoadReport) = load("Rya")(RyaLike.writeTo)
 
   /** Table 1 rows, in the paper's order. */
   lazy val loadReports: Seq[LoadReport] =

@@ -2,6 +2,7 @@ package repro.rdf
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 import repro.core.Tsv
 
@@ -20,6 +21,16 @@ object TripleOps {
   /** Enforce RDF set semantics and the canonical column order. */
   def canonical(df: DataFrame): DataFrame =
     df.select("s", "p", "o").distinct()
+
+  /** `write(triples)`, with `triples` cached while it runs unless the
+    * caller has cached it already. Only a cache made here is dropped, also
+    * when `write` fails, so a caller's cached graph stays cached.
+    */
+  def withCached[A](triples: DataFrame)(write: DataFrame => A): A = {
+    val owned = triples.storageLevel == StorageLevel.NONE
+    if (owned) triples.cache()
+    try write(triples) finally if (owned) triples.unpersist()
+  }
 
   /** Write triples as tab-separated text (`s \t p \t o` per line, each term
     * [[Tsv.encode]]d) — the "source file" the loading benchmarks start

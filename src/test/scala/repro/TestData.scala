@@ -2,7 +2,7 @@ package repro
 
 import java.nio.file.{Files, Path}
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 
 import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
 import repro.core.{GraphStats, Prost, ProstDb}
@@ -11,10 +11,10 @@ import repro.util.Timing
 import repro.watdiv.WatDivGen
 
 /** Shared fixtures for the whole test run: one small WatDiv-like graph and
-  * one store of every engine, written by the engine's `writeTo` and opened
-  * by its `loadFrom` — the path the benchmarks run. Everything is lazy and
-  * built once per JVM, so the expensive parts (generation, PT aggregation,
-  * the per-predicate ExtVP write) run once.
+  * one store of every engine, written and opened by the engine's `writeTo`
+  * — the path the benchmarks run. Everything is lazy and built once per
+  * JVM, so the expensive parts (generation, PT aggregation, the
+  * per-predicate ExtVP write) run once.
   */
 object TestData {
 
@@ -33,29 +33,25 @@ object TestData {
   /** A new empty directory under [[root]]. */
   def freshDir(prefix: String): String = Files.createTempDirectory(root, prefix).toString
 
-  /** `graph` written by `writeTo` into a new directory; returns it. */
-  def write(graph: DataFrame, prefix: String)(writeTo: (DataFrame, String) => Any): String = {
+  /** A new directory, and the store `writeTo` wrote of `graph` there and opened. */
+  def written[A](graph: DataFrame, prefix: String)(writeTo: (DataFrame, String) => A): (String, A) = {
     val dir = freshDir(prefix)
-    writeTo(graph, dir)
-    dir
+    (dir, writeTo(graph, dir))
   }
 
-  /** `graph` written by PRoST's `writeTo` and reopened by its `loadFrom`. */
-  def prostStore(graph: DataFrame): ProstDb =
-    Prost.loadFrom(graph.sparkSession, write(graph, "prost")(Prost.writeTo))
+  /** `graph` written by PRoST's `writeTo`, as the store it opened. */
+  def prostStore(graph: DataFrame): ProstDb = written(graph, "prost")(Prost.writeTo)._2
 
   /** The five configurations every oracle check runs on — PRoST mixed and
-    * VP-only, SPARQLGX, S2RDF and Rya — each answering from its own
-    * written and reopened store of `graph`. A store is written the first
+    * VP-only, SPARQLGX, S2RDF and Rya — each answering from the store its
+    * `writeTo` wrote of `graph` and opened. A store is written the first
     * time its configuration runs a query.
     */
   def configurations(graph: => DataFrame): Seq[(String, BgpQuery => DataFrame)] = {
-    def opened[A](prefix: String)(writeTo: (DataFrame, String) => Unit, loadFrom: (SparkSession, String) => A): A =
-      loadFrom(graph.sparkSession, write(graph, prefix)(writeTo))
     lazy val prost = prostStore(graph)
-    lazy val gx = opened("gx")(SparqlGxLike.writeTo, SparqlGxLike.loadFrom)
-    lazy val s2rdf = opened("s2rdf")(S2RdfLike.writeTo, S2RdfLike.loadFrom)
-    lazy val rya = opened("rya")(RyaLike.writeTo, RyaLike.loadFrom)
+    lazy val gx = written(graph, "gx")(SparqlGxLike.writeTo)._2
+    lazy val s2rdf = written(graph, "s2rdf")(S2RdfLike.writeTo)._2
+    lazy val rya = written(graph, "rya")(RyaLike.writeTo)._2
     Seq(
       "PRoST, mixed" -> (prost.query(_, vpOnly = false)),
       "PRoST, VP-only" -> (prost.query(_, vpOnly = true)),
@@ -73,18 +69,11 @@ object TestData {
 
   lazy val stats: GraphStats = GraphStats.compute(triples)
 
-  lazy val prostDir: String = write(triples, "prost")(Prost.writeTo)
-  lazy val sparqlGxDir: String = write(triples, "gx")(SparqlGxLike.writeTo)
-  lazy val s2rdfDir: String = write(triples, "s2rdf")(S2RdfLike.writeTo)
-  lazy val ryaDir: String = write(triples, "rya")(RyaLike.writeTo)
-
-  lazy val prost: ProstDb = Prost.loadFrom(SparkSpec.shared, prostDir)
-
-  lazy val sparqlGx: SparqlGxLike = SparqlGxLike.loadFrom(SparkSpec.shared, sparqlGxDir)
-
-  lazy val s2rdf: S2RdfLike = S2RdfLike.loadFrom(SparkSpec.shared, s2rdfDir)
-
-  lazy val rya: RyaLike = RyaLike.loadFrom(SparkSpec.shared, ryaDir)
+  /** Each engine's store of [[triples]], and its directory for specs that look at it. */
+  lazy val (prostDir, prost) = written(triples, "prost")(Prost.writeTo)
+  lazy val (sparqlGxDir, sparqlGx) = written(triples, "gx")(SparqlGxLike.writeTo)
+  lazy val (s2rdfDir, s2rdf) = written(triples, "s2rdf")(S2RdfLike.writeTo)
+  lazy val (ryaDir, rya) = written(triples, "rya")(RyaLike.writeTo)
 
   /** Assert `result` matches DuckDB's answer for `query` over the shared
     * graph — the central correctness check of the reproduction.

@@ -83,9 +83,8 @@ class S2RdfLikeSpec extends SparkSpec {
     def sizes = Files.readString(java.nio.file.Paths.get(s"$d/ext_sizes.tsv"))
     S2RdfLike.writeTo(graph, d)
     val first = sizes
-    S2RdfLike.writeTo(graph, d)
+    val store = S2RdfLike.writeTo(graph, d)
     assert(sizes == first)
-    val store = S2RdfLike.loadFrom(spark, d)
     for (sparql <- Seq("SELECT * WHERE { ?x ex:p ?y . ?y ex:q ?z }",
                        "SELECT * WHERE { ?x ex:p ?y . ?x ex:q ?z }")) withClue(sparql) {
       val q = SparqlParser.parse(sparql)

@@ -78,6 +78,16 @@ class StatsSpec extends SparkSpec {
     assert(nonNumeric.getMessage.startsWith(s"$path:1:"), nonNumeric.getMessage)
   }
 
+  test("readStats names the file, line and escape of a field Tsv.decode rejects") {
+    val path = java.nio.file.Paths.get(TestData.freshDir("stats-bad-escape"), "stats.tsv")
+    for ((field, why) <- Seq("ex:a\\qb" -> "unknown escape \\q", "ex:a\\" -> "trailing \\"))
+      withClue(field) {
+        java.nio.file.Files.writeString(path, s"ex:p\t3\t2\t2\n$field\t1\t1\t1\n")
+        val e = intercept[IllegalArgumentException](Prost.readStats(path.toString))
+        assert(e.getMessage.startsWith(s"$path:2: $why:"), e.getMessage)
+      }
+  }
+
   test("TSV round trip keeps predicates holding tabs, line breaks and backslashes") {
     val dir = TestData.freshDir("stats-escaped")
     val predicates = Seq("ex:a\tb", "ex:a\nb", "ex:a\rb", "ex:a\\b", "ex:a\\tb")

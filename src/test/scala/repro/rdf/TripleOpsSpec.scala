@@ -2,8 +2,13 @@ package repro.rdf
 
 import java.nio.file.{Files, Paths}
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
+
 import repro.{Oracle, SparkSpec, TestData}
-import repro.sparql.{BgpSql, SparqlParser}
+import repro.baselines.{RyaLike, S2RdfLike, SparqlGxLike}
+import repro.core.Prost
+import repro.sparql.{BgpQuery, BgpSql, SparqlParser}
 
 class TripleOpsSpec extends SparkSpec {
 
@@ -93,6 +98,40 @@ class TripleOpsSpec extends SparkSpec {
       Oracle.assertEquivalent(db.query(q, vpOnly), BgpSql.toSql(q), "triples" -> graph)
     }
   }
+
+  test("readText rejects an escape writeText never writes, naming it") {
+    val dir = TestData.freshDir("triples-bad-escape")
+    Files.writeString(Paths.get(dir, "bad.txt"), "ex:b\tex:p\tex:c\nex:a\tex:p\tex:a\\qb\n")
+    val e = intercept[Exception](TripleOps.readText(spark, dir).collect())
+    assert(e.getMessage.contains("unknown escape \\q"), e.getMessage)
+  }
+
+  /** Each engine's `writeTo`, with how to query the store it returns. */
+  private val engines: Seq[(String, (DataFrame, String) => BgpQuery => DataFrame)] = Seq(
+    "PRoST" -> { (g, d) => val db = Prost.writeTo(g, d); db.query(_, vpOnly = false) },
+    "SPARQLGX" -> ((g, d) => SparqlGxLike.writeTo(g, d).query),
+    "S2RDF" -> ((g, d) => S2RdfLike.writeTo(g, d).query),
+    "Rya" -> ((g, d) => RyaLike.writeTo(g, d).query),
+  )
+
+  for ((name, writeTo) <- engines)
+    test(s"$name writeTo keeps the caller's cache, adds none and returns an opened store") {
+      // Distinct rows per graph: Spark finds a cache by plan, so equal graphs would share one.
+      def graph(tag: String) = TripleOps.fromSeq(spark, Seq(
+        ("ex:a", "ex:p", s"ex:$name-$tag"), (s"ex:$name-$tag", "ex:q", "ex:c"), ("ex:a", "ex:q", "ex:d")))
+      val cached = graph("cached").cache()
+      cached.count()
+      val uncached = graph("uncached")
+      val q = SparqlParser.parse("SELECT * WHERE { ?x ex:p ?y . ?y ex:q ?z }")
+      try {
+        for (g <- Seq(cached, uncached)) {
+          val query = writeTo(g, TestData.freshDir("cache-owner"))
+          Oracle.assertEquivalent(query(q), BgpSql.toSql(q), "triples" -> g)
+        }
+        assert(cached.storageLevel != StorageLevel.NONE, "the caller's cache was dropped")
+        assert(uncached.storageLevel == StorageLevel.NONE, "writeTo left a cache behind")
+      } finally cached.unpersist()
+    }
 
   test("readText rejects a line without three fields, naming the file") {
     val dir = TestData.freshDir("triples-bad")
