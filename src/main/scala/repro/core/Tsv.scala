@@ -32,15 +32,25 @@ object Tsv {
       .map(c => if (c.isEmpty) "trailing \\" else s"unknown escape \\$c")
       .toLeft(Escape.replaceAllIn(field, m => Regex.quoteReplacement(Unescaped(m.group(1)))))
 
-  /** [[decoded]], failing with the reason it gives and `field`. */
+  /** [[decoded]], with the reason for a rejection showing `field`. */
+  private def checked(field: String): Either[String, String] =
+    decoded(field).left.map(why => s"$why in \"$field\"")
+
+  /** [[checked]], failing with the reason it gives. */
   def decode(field: String): String =
-    decoded(field).fold(why => throw new IllegalArgumentException(s"$why in \"$field\""), identity)
+    checked(field).fold(why => throw new IllegalArgumentException(why), identity)
 
   /** [[encode]] of each value of `c`. */
   def encode(c: Column): Column = viaUdf(encode(_: String))(c)
 
   /** [[decode]] of each value of `c`. */
   def decode(c: Column): Column = viaUdf(decode(_: String))(c)
+
+  /** Why [[decode]] would reject each value of `c`, or null where it would
+    * not. Only a value holding `\` can be rejected; no other passes the UDF.
+    */
+  def rejection(c: Column): Column =
+    when(c.contains("\\"), udf((f: String) => checked(f).left.toOption.orNull).apply(c))
 
   /** `f` of each value of `c` that holds `\`, tab, LF or CR; any other
     * value, which `f` keeps as it is, passes by the UDF.

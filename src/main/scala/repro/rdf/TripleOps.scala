@@ -41,16 +41,18 @@ object TripleOps {
       .write.mode("overwrite").text(path)
 
   /** Read triples written by [[writeText]]. A line that does not split
-    * into exactly three fields fails the read with an error naming its file
-    * and showing the line escaped.
+    * into exactly three fields (shown escaped), or that holds a field
+    * [[Tsv.decode]] rejects (shown as written), fails the read with an
+    * error naming its file.
     */
   def readText(spark: SparkSession, path: String): DataFrame = {
     val fields = split(col("value"), "\t")
-    val malformed = concat(lit("malformed line in "), col("_metadata.file_path"),
-      lit(": expected 3 tab-separated fields, found "), size(fields).cast("string"),
-      lit(": \""), Tsv.encode(col("value")), lit("\""))
+    val why = when(size(fields) =!= 3, concat(lit("expected 3 tab-separated fields, found "),
+        size(fields).cast("string"), lit(": \""), Tsv.encode(col("value")), lit("\"")))
+      .otherwise(coalesce((0 until 3).map(i => Tsv.rejection(fields(i))): _*))
+    val malformed = concat(lit("malformed line in "), col("_metadata.file_path"), lit(": "), why)
     spark.read.text(path)
-      .select(when(size(fields) === 3, fields).otherwise(raise_error(malformed)) as "f")
+      .select(when(why.isNull, fields).otherwise(raise_error(malformed)) as "f")
       .select(Seq("s", "p", "o").zipWithIndex.map { case (c, i) => Tsv.decode(col("f")(i)) as c }: _*)
   }
 }

@@ -104,6 +104,7 @@ class TripleOpsSpec extends SparkSpec {
     Files.writeString(Paths.get(dir, "bad.txt"), "ex:b\tex:p\tex:c\nex:a\tex:p\tex:a\\qb\n")
     val e = intercept[Exception](TripleOps.readText(spark, dir).collect())
     assert(e.getMessage.contains("unknown escape \\q"), e.getMessage)
+    assert(e.getMessage.contains("bad.txt"), e.getMessage)
   }
 
   /** Each engine's `writeTo`, with how to query the store it returns. */
