@@ -9,7 +9,6 @@ import repro.sparql.{BgpQuery, SparqlParser}
   * statistics, with the full query path (parse → translate → execute).
   */
 final class ProstDb(
-    val spark: SparkSession,
     val vp: VpStore,
     val pt: PropertyTable,
     val stats: GraphStats,
@@ -55,29 +54,28 @@ object Prost {
   def loadFrom(spark: SparkSession, dir: String): ProstDb = {
     val stats = readStats(s"$dir/stats.tsv")
     new ProstDb(
-      spark,
       VpStore.load(spark, s"$dir/vp", stats),
       PropertyTable.load(spark, s"$dir/pt", stats),
       stats,
     )
   }
 
-  /** Persist the stats as TSV: predicate, tripleCount, distinctSubjects,
-    * maxPerSubject (one line each, in id order).
+  /** Persist the stats as TSV: predicate, tripleCount, distinctSubjects
+    * (one line each, in id order).
     */
   def writeStats(stats: GraphStats, path: String): Unit =
     Tsv.write(path, stats.predicates.map { p =>
       val st = stats(p)
-      Seq(p, st.tripleCount.toString, st.distinctSubjects.toString, st.maxPerSubject.toString)
+      Seq(p, st.tripleCount.toString, st.distinctSubjects.toString)
     })
 
   /** Read stats written by [[writeStats]]; a malformed line fails with its
     * path and line number.
     */
   def readStats(path: String): GraphStats =
-    GraphStats(Tsv.read(path, 4) { case Array(p, c, d, m) =>
-      (c.toLongOption, d.toLongOption, m.toLongOption) match {
-        case (Some(c), Some(d), Some(m)) => Right(p -> PredicateStats(p, c, d, m))
+    GraphStats(Tsv.read(path, 3) { case Array(p, c, d) =>
+      (c.toLongOption, d.toLongOption) match {
+        case (Some(c), Some(d)) => Right(p -> PredicateStats(c, d))
         case _ => Left("counts must be integers")
       }
     }.toMap)

@@ -5,18 +5,15 @@ import org.apache.spark.sql.functions._
 
 /** Per-predicate statistics, exactly the two measures the paper gathers at
   * load time (Section 3.3): "(1) the total number of triples and (2) the
-  * number of distinct subjects for each predicate", plus the maximum
-  * per-subject multiplicity, which the Property Table builder needs to
-  * decide between a scalar and a list column.
+  * number of distinct subjects for each predicate".
   */
-final case class PredicateStats(
-    predicate: String,
-    tripleCount: Long,
-    distinctSubjects: Long,
-    maxPerSubject: Long,
-) {
-  /** True if at least one subject holds several objects for this predicate. */
-  def isMultiValued: Boolean = maxPerSubject > 1
+final case class PredicateStats(tripleCount: Long, distinctSubjects: Long) {
+
+  /** True if at least one subject holds several objects for this predicate:
+    * the per-subject counts sum to `tripleCount` over `distinctSubjects`
+    * subjects, so they exceed it exactly when some subject counts twice.
+    */
+  def isMultiValued: Boolean = tripleCount > distinctSubjects
 }
 
 /** Statistics for a whole graph, keyed by predicate. They also name every
@@ -30,7 +27,7 @@ final case class GraphStats(byPredicate: Map[String, PredicateStats]) {
 
   /** Stats for `predicate`; zero-stats if the predicate never occurs. */
   def apply(predicate: String): PredicateStats =
-    byPredicate.getOrElse(predicate, PredicateStats(predicate, 0L, 0L, 0L))
+    byPredicate.getOrElse(predicate, GraphStats.Absent)
 
   /** All predicates, sorted: the order of their ids. */
   lazy val predicates: Seq[String] = byPredicate.keys.toSeq.sorted
@@ -55,6 +52,9 @@ final case class GraphStats(byPredicate: Map[String, PredicateStats]) {
 
 object GraphStats {
 
+  /** The stats of a predicate the graph lacks. */
+  private val Absent = PredicateStats(0L, 0L)
+
   /** Compute the statistics in a single aggregation pass over the graph.
     * The result is collected to the driver: the predicate set of an RDF
     * schema is small (tens of entries), as in the paper's setting.
@@ -63,14 +63,10 @@ object GraphStats {
     val rows = triples
       .groupBy("p", "s").agg(count(lit(1)) as "per_subject")
       .groupBy("p").agg(
-        sum("per_subject")   as "triple_count",
-        count(lit(1))        as "distinct_subjects",
-        max("per_subject")   as "max_per_subject",
+        sum("per_subject") as "triple_count",
+        count(lit(1))      as "distinct_subjects",
       )
       .collect()
-    GraphStats(rows.map { r =>
-      val p = r.getString(0)
-      p -> PredicateStats(p, r.getLong(1), r.getLong(2), r.getLong(3))
-    }.toMap)
+    GraphStats(rows.map(r => r.getString(0) -> PredicateStats(r.getLong(1), r.getLong(2))).toMap)
   }
 }

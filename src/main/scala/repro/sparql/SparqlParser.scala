@@ -86,7 +86,8 @@ object SparqlParser {
       } else if (c.isDigit || (c == '-' && i + 1 < n && input(i + 1).isDigit)) {
         val start = i
         i += 1
-        while (i < n && (input(i).isDigit || input(i) == '.')) i += 1
+        // a '.' is part of the number only before a digit (DECIMAL ::= [0-9]* '.' [0-9]+)
+        while (i < n && (input(i).isDigit || (input(i) == '.' && i + 1 < n && input(i + 1).isDigit))) i += 1
         out += TLit(input.substring(start, i))
       } else if (c.isLetter || c == '_') {
         val start = i

@@ -11,8 +11,9 @@ import repro.harness.JobSession
   * benchmark and the `jobs/` entrypoints run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit).
+  * SPARK_DRIVER_MEM, falling back to 48g when it is unset; the Tier-1
+  * command in ROADMAP.md exports half of the machine's MemTotal, clamped
+  * to 2–8 GB.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -23,8 +24,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = JobSession.create("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that names the heap and cores the run got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

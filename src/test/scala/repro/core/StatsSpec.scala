@@ -30,9 +30,27 @@ class StatsSpec extends SparkSpec {
   }
 
   test("max per subject detects multi-valued predicates") {
-    assert(stats("ex:p").maxPerSubject == 2)
     assert(stats("ex:p").isMultiValued)
     assert(!stats("ex:q").isMultiValued)
+    assert(!stats("ex:r").isMultiValued)
+  }
+
+  test("multi-valued equals a subject holding two objects, duplicate triples included") {
+    val duplicated = TripleOps.fromSeq(spark, Seq(
+      ("ex:a", "ex:dup", "ex:x"),
+      ("ex:a", "ex:dup", "ex:x"),
+      ("ex:b", "ex:one", "ex:x"),
+      ("ex:c", "ex:one", "ex:x"),
+    ))
+    for ((name, graph) <- Seq("watdiv" -> TestData.triples, "duplicated" -> duplicated)) {
+      graph.createOrReplaceTempView("t_multi_check")
+      val expected = spark.sql(
+        "SELECT p, max(n) > 1 FROM (SELECT p, count(*) AS n FROM t_multi_check GROUP BY p, s) GROUP BY p"
+      ).collect().map(r => r.getString(0) -> r.getBoolean(1)).toMap
+      val computed = GraphStats.compute(graph)
+      assert(computed.predicates.map(p => p -> computed(p).isMultiValued).toMap == expected, name)
+    }
+    assert(GraphStats.compute(duplicated)("ex:dup").isMultiValued)
   }
 
   test("unknown predicate yields zero stats") {
@@ -68,12 +86,12 @@ class StatsSpec extends SparkSpec {
 
   test("readStats names the file and line of a malformed line") {
     val path = java.nio.file.Paths.get(TestData.freshDir("stats-bad"), "stats.tsv")
-    java.nio.file.Files.writeString(path, "ex:p\t3\t2\t2\n\nex:q\t3\t3\n")
+    java.nio.file.Files.writeString(path, "ex:p\t3\t2\n\nex:q\t3\n")
     val e = intercept[IllegalArgumentException](Prost.readStats(path.toString))
     assert(e.getMessage.startsWith(s"$path:3:"), e.getMessage)
-    assert(e.getMessage.contains("expected 4 tab-separated fields, found 3"), e.getMessage)
+    assert(e.getMessage.contains("expected 3 tab-separated fields, found 2"), e.getMessage)
 
-    java.nio.file.Files.writeString(path, "ex:p\t3\ttwo\t2\n")
+    java.nio.file.Files.writeString(path, "ex:p\t3\ttwo\n")
     val nonNumeric = intercept[IllegalArgumentException](Prost.readStats(path.toString))
     assert(nonNumeric.getMessage.startsWith(s"$path:1:"), nonNumeric.getMessage)
   }
@@ -82,7 +100,7 @@ class StatsSpec extends SparkSpec {
     val path = java.nio.file.Paths.get(TestData.freshDir("stats-bad-escape"), "stats.tsv")
     for ((field, why) <- Seq("ex:a\\qb" -> "unknown escape \\q", "ex:a\\" -> "trailing \\"))
       withClue(field) {
-        java.nio.file.Files.writeString(path, s"ex:p\t3\t2\t2\n$field\t1\t1\t1\n")
+        java.nio.file.Files.writeString(path, s"ex:p\t3\t2\n$field\t1\t1\n")
         val e = intercept[IllegalArgumentException](Prost.readStats(path.toString))
         assert(e.getMessage.startsWith(s"$path:2: $why:"), e.getMessage)
       }
@@ -92,7 +110,7 @@ class StatsSpec extends SparkSpec {
     val dir = TestData.freshDir("stats-escaped")
     val predicates = Seq("ex:a\tb", "ex:a\nb", "ex:a\rb", "ex:a\\b", "ex:a\\tb")
     val odd = GraphStats(predicates.zipWithIndex.map { case (p, i) =>
-      p -> PredicateStats(p, i + 1L, 1, i + 1L)
+      p -> PredicateStats(i + 1L, 1)
     }.toMap)
     Prost.writeStats(odd, s"$dir/stats.tsv")
     val back = Prost.readStats(s"$dir/stats.tsv")

@@ -9,10 +9,10 @@ class TranslatorSpec extends AnyFunSuite {
 
   // Hand-made statistics: a big predicate, a mid one, two small ones.
   private val stats = GraphStats(Map(
-    "ex:big"   -> PredicateStats("ex:big", 100000, 20000, 5),
-    "ex:mid"   -> PredicateStats("ex:mid", 5000, 5000, 1),
-    "ex:small" -> PredicateStats("ex:small", 100, 100, 1),
-    "ex:tiny"  -> PredicateStats("ex:tiny", 10, 10, 1),
+    "ex:big"   -> PredicateStats(100000, 20000),
+    "ex:mid"   -> PredicateStats(5000, 5000),
+    "ex:small" -> PredicateStats(100, 100),
+    "ex:tiny"  -> PredicateStats(10, 10),
   ))
   private val translator = new Translator(stats)
 

@@ -36,6 +36,11 @@ class SparqlParserSpec extends AnyFunSuite {
     assert(q.patterns.head.o == Lit("25"))
   }
 
+  test("a dot after a number ends the pattern, not the number") {
+    val q = parse("SELECT * WHERE { ?v0 foaf:age 30. ?v0 foaf:height 1.75. }")
+    assert(q.patterns.map(_.o) == Vector(Lit("30"), Lit("1.75")))
+  }
+
   test("prefixed IRI object") {
     val q = parse("SELECT ?s WHERE { ?s rdf:type wsdbm:User }")
     assert(q.patterns.head.o == Iri("wsdbm:User"))
