@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.sparql.{Iri, Lit, TriplePattern, Term, Var}
+import repro.sparql.{Iri, Lit, TriplePattern, Var}
 
 /** Bottom-up Join Tree execution over Spark DataFrames (Section 3.2):
   * every node yields a DataFrame whose columns are the variable names it
@@ -22,20 +22,22 @@ final class Executor(vp: VpStore, pt: PropertyTable) {
   /** Execute one node and fold in its children. */
   private def executeNode(node: JtNode): DataFrame = {
     val own = node match {
-      case VpJtNode(tp, _)           => EvalCore.bind(vp.tableFor(tp.p.value), tp)
-      case PtJtNode(subject, ps, _)  => ptGroup(subject, ps)
+      case VpJtNode(tp, _) => EvalCore.bind(vp.tableFor(tp.p.value), tp)
+      case pt: PtJtNode    => ptGroup(pt.patterns)
     }
     node.children.foldLeft(own)((acc, child) => EvalCore.joinShared(acc, executeNode(child)))
   }
 
   /** A same-subject group answered from one PT row — the join-free
     * sub-query the mixed strategy exists for. Each pattern's object reads
-    * its predicate's column: a scalar column without its NULL rows, a list
-    * column exploded (variable object) or tested with `array_contains`
-    * (constant object), and a NULL column for a predicate the PT lacks,
-    * which the NULL filter turns into the empty group. `bind` does the rest.
+    * its predicate's column: a scalar column without its NULL rows, and a
+    * NULL column for a predicate the PT lacks, which the NULL filter turns
+    * into the empty group. A list column gives one row per element: every
+    * element for a variable object; for a constant object, the rows whose
+    * list holds it (`array_contains`), each once per listed copy, so a
+    * duplicated triple answers twice as in VP. `bind` does the rest.
     */
-  private[core] def ptGroup(subject: Term, patterns: Seq[TriplePattern]): DataFrame = {
+  private[core] def ptGroup(patterns: Seq[TriplePattern]): DataFrame = {
     var df = pt.df
     val objects = patterns.zipWithIndex.flatMap { case (tp, i) =>
       val column = pt.columnFor.get(tp.p.value).fold(lit(null).cast("string"))(col)
@@ -43,13 +45,17 @@ final class Executor(vp: VpStore, pt: PropertyTable) {
         case (true, _: Var) =>
           df = df.withColumn(s"__pt_$i", explode(column))
           Some(tp.o -> col(s"__pt_$i"))
-        case (true, Iri(c)) => df = df.where(array_contains(column, c)); None
-        case (true, Lit(c)) => df = df.where(array_contains(column, c)); None
+        case (true, Iri(c)) => df = copies(df, column, c, i); None
+        case (true, Lit(c)) => df = copies(df, column, c, i); None
         case (false, _) =>
           df = df.where(column.isNotNull)
           Some(tp.o -> column)
       }
     }
-    EvalCore.bind(df, (subject -> col("s")) +: objects)
+    EvalCore.bind(df, (patterns.head.s -> col("s")) +: objects)
   }
+
+  /** `df`'s rows whose list `column` holds `c`, one per copy of `c` in it. */
+  private def copies(df: DataFrame, column: Column, c: String, i: Int): DataFrame =
+    df.where(array_contains(column, c)).withColumn(s"__pt_$i", explode(filter(column, _ === c)))
 }

@@ -34,15 +34,14 @@ final case class VpJtNode(pattern: TriplePattern, children: Seq[JtNode] = Seq.em
 }
 
 /** A same-subject pattern group answered with a select on the Property
-  * Table — the node type whose existence is the paper's contribution.
+  * Table — the node type whose existence is the paper's contribution. The
+  * subject is the one all its patterns share.
   */
-final case class PtJtNode(
-    subject: Term,
-    patterns: Seq[TriplePattern],
-    children: Seq[JtNode] = Seq.empty,
-) extends JtNode {
+final case class PtJtNode(patterns: Seq[TriplePattern], children: Seq[JtNode] = Seq.empty)
+    extends JtNode {
   require(patterns.nonEmpty, "PT node needs at least one pattern")
   require(patterns.forall(_.s == subject), "PT node patterns must share the subject")
+  def subject: Term = patterns.head.s
   override def withChildren(cs: Seq[JtNode]): JtNode = copy(children = cs)
 }
 
@@ -59,8 +58,8 @@ final case class JoinTree(root: JtNode, projection: Seq[Var], distinct: Boolean)
   def pretty: String = {
     def walk(n: JtNode, depth: Int): Seq[String] = {
       val label = n match {
-        case PtJtNode(s, ps, _) => s"PT[$s] (${ps.map(_.p.value).mkString(", ")})"
-        case VpJtNode(tp, _)    => s"VP[${tp.p.value}] $tp"
+        case pt: PtJtNode    => s"PT[${pt.subject}] (${pt.patterns.map(_.p.value).mkString(", ")})"
+        case VpJtNode(tp, _) => s"VP[${tp.p.value}] $tp"
       }
       (("  " * depth) + label) +: n.children.flatMap(walk(_, depth + 1))
     }

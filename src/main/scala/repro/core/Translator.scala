@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Term, Var}
+import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
 
 /** SPARQL → Join Tree translation with the paper's statistics-based
   * priorities (Sections 3.2–3.3).
@@ -8,78 +8,54 @@ import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Term, Var}
   * Grouping rule: triple patterns sharing the same subject become one
   * Property Table node; every remaining single pattern becomes a Vertical
   * Partitioning node. (In `vpOnly` mode — the paper's Figure 2 baseline —
-  * grouping is disabled and every pattern is a VP node.)
+  * every pattern is a group of its own, so every node is a VP node.)
   *
-  * Priority rule (the paper's three criteria, expressed as an estimated
-  * result-size *weight*; low weight = high priority = computed early/deep):
-  *   1. a literal in a pattern is a strong constraint → weight × 1/100;
-  *      an IRI constant in object position → weight × 1/20;
-  *      a constant subject → a point lookup, weight ≈ tuples/subjects;
-  *   2. a pattern over a large predicate weighs its triple count, adjusted
-  *      by the predicate's distinct-subject count; the heaviest node
-  *      becomes the root (computed last);
-  *   3. a PT node is scored over all its patterns — bounded by its most
-  *      selective member, with literals weighted heavily.
+  * Priority rule: a node's weight estimates its result rows; low weight =
+  * high priority = computed early/deep, and the heaviest node becomes the
+  * root. The weight is `rows × Π factor` over the node's patterns, where a
+  * literal object's factor is 1/100, an IRI object's 1/20 and a variable's
+  * 1. `rows` is the predicate's triple count for a one-pattern node and the
+  * rarest predicate's distinct subjects for a PT group; a constant subject
+  * is a point lookup that divides `rows` by that smallest subject count.
+  * An unknown predicate has no triples, so its node weighs 0.
   */
 final class Translator(stats: GraphStats) {
 
   private val LiteralFactor = 0.01
   private val IriConstFactor = 0.05
 
-  /** Estimated result-size weight of a single pattern. */
-  private[core] def patternWeight(tp: TriplePattern): Double = {
-    val st = stats(tp.p.value)
-    // Unknown predicate: empty result; most selective possible.
-    if (st.tripleCount == 0L) return 0.0
-    var w = st.tripleCount.toDouble
-    tp.s match {
-      case _: Var => ()
-      case _      => w = w / math.max(1L, st.distinctSubjects) // point lookup on s
-    }
-    tp.o match {
-      case _: Var => ()
-      case _: Lit => w *= LiteralFactor
-      case _: Iri => w *= IriConstFactor
-    }
-    w
+  /** Estimated result-size weight of a node. Multi-valued members of a PT
+    * group can only multiply rows; the bound stays simple, as the paper's
+    * "simple but effective" statistics do.
+    */
+  private[core] def nodeWeight(node: JtNode): Double = {
+    val predicates = node.patterns.map(tp => stats(tp.p.value))
+    val subjects = predicates.map(_.distinctSubjects).min
+    val factor = node.patterns.map(_.o match {
+      case _: Lit => LiteralFactor
+      case _: Iri => IriConstFactor
+      case _: Var => 1.0
+    }).product
+    val tuples = if (predicates.size == 1) predicates.head.tripleCount else subjects
+    val rows =
+      if (node.patterns.head.s.isVariable) tuples.toDouble
+      else tuples.toDouble / math.max(1L, subjects) // point lookup on s
+    rows * factor // one multiplication after the factors: TranslatorSpec pins the exact values
   }
 
-  /** Estimated weight of a whole node (criterion 3 for PT nodes). */
-  private[core] def nodeWeight(node: JtNode): Double = node match {
-    case VpJtNode(tp, _) => patternWeight(tp)
-    case PtJtNode(subject, patterns, _) =>
-      // The group is a conjunction on one subject: bounded by the distinct
-      // subjects of its rarest predicate, further reduced by constants.
-      val subjectBound = patterns.map(tp => stats(tp.p.value).distinctSubjects.toDouble).min
-      val constFactor = patterns.map { tp =>
-        tp.o match {
-          case _: Lit => LiteralFactor
-          case _: Iri => IriConstFactor
-          case _: Var => 1.0
-        }
-      }.product
-      val subjFactor = subject match {
-        case _: Var => 1.0
-        case _      => 1.0 / math.max(1.0, subjectBound) // constant subject: one row
-      }
-      // Multi-valued members can only multiply rows; keep the bound simple,
-      // as the paper's "simple but effective" statistics do.
-      subjectBound * constFactor * subjFactor
-  }
-
-  /** Group the BGP into PT/VP nodes (no tree shape yet). */
-  private[core] def groupNodes(query: BgpQuery, vpOnly: Boolean): Seq[JtNode] =
-    if (vpOnly) query.patterns.map(VpJtNode(_))
-    else {
-      val bySubject: Seq[(Term, Seq[TriplePattern])] =
-        query.patterns.groupBy(_.s).toSeq
-          // stable order: first appearance of the subject in the query
-          .sortBy { case (_, ps) => query.patterns.indexOf(ps.head) }
-      bySubject.map {
-        case (_, Seq(single))  => VpJtNode(single)
-        case (subject, shared) => PtJtNode(subject, shared)
-      }
+  /** Group the BGP into PT/VP nodes (no tree shape yet): same-subject
+    * groups in order of their subject's first appearance, or one group per
+    * pattern in `vpOnly` mode. A one-pattern group is a VP node.
+    */
+  private[core] def groupNodes(query: BgpQuery, vpOnly: Boolean): Seq[JtNode] = {
+    val groups =
+      if (vpOnly) query.patterns.map(Seq(_))
+      else query.patterns.groupBy(_.s).values.toSeq.sortBy(ps => query.patterns.indexOf(ps.head))
+    groups.map {
+      case Seq(tp) => VpJtNode(tp)
+      case shared  => PtJtNode(shared)
     }
+  }
 
   /** Build the Join Tree. Nodes are placed in [[EvalCore.connectedOrder]]
     * by descending weight: the heaviest node becomes the root (computed

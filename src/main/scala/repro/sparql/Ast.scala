@@ -40,10 +40,6 @@ final case class TriplePattern(s: Term, p: Iri, o: Term) {
   def variables: Seq[Var] =
     Seq(s, o).collect { case v: Var => v }.distinct
 
-  /** True if subject or object is a (non-IRI) literal constant. */
-  def hasLiteral: Boolean =
-    s.isInstanceOf[Lit] || o.isInstanceOf[Lit]
-
   override def toString: String = s"$s $p $o ."
 }
 

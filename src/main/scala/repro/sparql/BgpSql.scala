@@ -6,18 +6,19 @@ package repro.sparql
   * an independent semantics for every engine in the reproduction.
   *
   * SPARQL BGP bag semantics map exactly onto SQL inner self-joins: one
-  * result row per solution mapping, duplicates preserved (the RDF graph is
-  * a *set* of triples, which load paths enforce with `distinct()`).
+  * result row per solution mapping, duplicates preserved. The triples are
+  * taken as given: no load path drops a duplicated triple, so a pattern
+  * matching one answers once per copy here and in every engine.
   */
 object BgpSql {
 
   private def q(s: String): String = "'" + s.replace("'", "''") + "'"
 
-  /** SQL for `query` against a triple table named `table`. Output columns
-    * are aliased to the bare variable names, so a Spark result whose
-    * columns are variable names compares directly.
+  /** SQL for `query` against the `triples` table. Output columns are
+    * aliased to the bare variable names, so a Spark result whose columns
+    * are variable names compares directly.
     */
-  def toSql(query: BgpQuery, table: String = "triples"): String = {
+  def toSql(query: BgpQuery): String = {
     val aliases = query.patterns.indices.map(i => s"t$i")
     // First occurrence of each variable: (alias, column)
     var varSite = Map.empty[Var, String]
@@ -43,7 +44,7 @@ object BgpSql {
       .map(v => s"${varSite(v)} AS ${v.name}")
       .mkString(", ")
     val dist = if (query.distinct) "DISTINCT " else ""
-    val from = aliases.map(a => s"$table $a").mkString(", ")
+    val from = aliases.map(a => s"triples $a").mkString(", ")
     val where = conditions.result().mkString(" AND ")
     s"SELECT $dist$select FROM $from WHERE $where"
   }

@@ -86,9 +86,12 @@ object SparqlParser {
       } else if (c.isDigit || (c == '-' && i + 1 < n && input(i + 1).isDigit)) {
         val start = i
         i += 1
-        // a '.' is part of the number only before a digit (DECIMAL ::= [0-9]* '.' [0-9]+)
+        // a '.' is part of the number only before a digit (DECIMAL ::= [0-9]* '.' [0-9]+),
+        // and a number holds at most one
         while (i < n && (input(i).isDigit || (input(i) == '.' && i + 1 < n && input(i + 1).isDigit))) i += 1
-        out += TLit(input.substring(start, i))
+        val number = input.substring(start, i)
+        if (number.count(_ == '.') > 1) err(s"malformed number '$number'")
+        out += TLit(number)
       } else if (c.isLetter || c == '_') {
         val start = i
         while (i < n && (input(i).isLetterOrDigit || input(i) == '_' ||

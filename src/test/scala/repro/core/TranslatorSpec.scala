@@ -16,6 +16,9 @@ class TranslatorSpec extends AnyFunSuite {
   ))
   private val translator = new Translator(stats)
 
+  /** The weight of the one-pattern node of `tp`. */
+  private def weight(tp: TriplePattern): Double = translator.nodeWeight(VpJtNode(tp))
+
   test("patterns sharing a subject become one PT node") {
     val tree = translator.translate(parse(
       "SELECT * WHERE { ?s ex:mid ?a . ?s ex:small ?b . ?t ex:tiny ?c }"))
@@ -55,32 +58,33 @@ class TranslatorSpec extends AnyFunSuite {
   test("a literal pattern is pushed to a leaf (computed first)") {
     val tree = translator.translate(parse(
       """SELECT * WHERE { ?a ex:mid ?b . ?b ex:mid "x" . ?b ex:big ?c }"""), vpOnly = true)
+    def hasLiteral(tp: TriplePattern) = tp.o.isInstanceOf[Lit]
     val rootPred = tree.root.asInstanceOf[VpJtNode].pattern
-    assert(!rootPred.hasLiteral, s"literal pattern must not be the root:\n${tree.pretty}")
+    assert(!hasLiteral(rootPred), s"literal pattern must not be the root:\n${tree.pretty}")
     // The literal-bearing node is a leaf.
-    val literalNode = tree.nodes.find(_.patterns.exists(_.hasLiteral)).get
+    val literalNode = tree.nodes.find(_.patterns.exists(hasLiteral)).get
     assert(literalNode.children.isEmpty)
   }
 
   test("literal weighting: literal beats IRI constant beats variable") {
-    val varW = translator.patternWeight(TriplePattern(Var("a"), Iri("ex:mid"), Var("b")))
-    val iriW = translator.patternWeight(TriplePattern(Var("a"), Iri("ex:mid"), Iri("ex:x")))
-    val litW = translator.patternWeight(TriplePattern(Var("a"), Iri("ex:mid"), Lit("x")))
+    val varW = weight(TriplePattern(Var("a"), Iri("ex:mid"), Var("b")))
+    val iriW = weight(TriplePattern(Var("a"), Iri("ex:mid"), Iri("ex:x")))
+    val litW = weight(TriplePattern(Var("a"), Iri("ex:mid"), Lit("x")))
     assert(litW < iriW && iriW < varW)
   }
 
   test("constant subject reduces the weight to a point lookup") {
-    val free = translator.patternWeight(TriplePattern(Var("a"), Iri("ex:big"), Var("b")))
-    val bound = translator.patternWeight(TriplePattern(Iri("ex:s1"), Iri("ex:big"), Var("b")))
+    val free = weight(TriplePattern(Var("a"), Iri("ex:big"), Var("b")))
+    val bound = weight(TriplePattern(Iri("ex:s1"), Iri("ex:big"), Var("b")))
     assert(bound < free / 100)
   }
 
   test("unknown predicate weighs zero (empty result: most selective)") {
-    assert(translator.patternWeight(TriplePattern(Var("a"), Iri("ex:none"), Var("b"))) == 0.0)
+    assert(weight(TriplePattern(Var("a"), Iri("ex:none"), Var("b"))) == 0.0)
   }
 
   test("PT node weight is bounded by its rarest member's subjects") {
-    val node = PtJtNode(Var("s"), Seq(
+    val node = PtJtNode(Seq(
       TriplePattern(Var("s"), Iri("ex:big"), Var("a")),
       TriplePattern(Var("s"), Iri("ex:tiny"), Var("b")),
     ))
@@ -88,15 +92,57 @@ class TranslatorSpec extends AnyFunSuite {
   }
 
   test("PT node with a literal is weighted heavily toward the leaves") {
-    val plain = PtJtNode(Var("s"), Seq(
+    val plain = PtJtNode(Seq(
       TriplePattern(Var("s"), Iri("ex:mid"), Var("a")),
       TriplePattern(Var("s"), Iri("ex:small"), Var("b")),
     ))
-    val withLit = PtJtNode(Var("s"), Seq(
+    val withLit = PtJtNode(Seq(
       TriplePattern(Var("s"), Iri("ex:mid"), Var("a")),
       TriplePattern(Var("s"), Iri("ex:small"), Lit("x")),
     ))
     assert(translator.nodeWeight(withLit) < translator.nodeWeight(plain))
+  }
+
+  test("exact weight: a VP node with a variable object weighs its triple count") {
+    assert(weight(TriplePattern(Var("a"), Iri("ex:mid"), Var("b"))) == 5000.0)
+  }
+
+  test("exact weight: an IRI object scales a VP node by 1/20, a literal by 1/100") {
+    assert(weight(TriplePattern(Var("a"), Iri("ex:mid"), Iri("ex:x"))) == 250.0)
+    assert(weight(TriplePattern(Var("a"), Iri("ex:mid"), Lit("x"))) == 50.0)
+  }
+
+  test("exact weight: a constant subject divides a VP node by the distinct subjects") {
+    assert(weight(TriplePattern(Iri("ex:s1"), Iri("ex:big"), Var("b"))) == 5.0)
+  }
+
+  test("exact weight: an unknown predicate weighs 0 alone and in a PT group") {
+    assert(weight(TriplePattern(Iri("ex:s1"), Iri("ex:none"), Lit("x"))) == 0.0)
+    assert(translator.nodeWeight(PtJtNode(Seq(
+      TriplePattern(Var("s"), Iri("ex:none"), Var("a")),
+      TriplePattern(Var("s"), Iri("ex:big"), Var("b")),
+    ))) == 0.0)
+  }
+
+  test("exact weight: a PT group weighs its rarest member's distinct subjects") {
+    assert(translator.nodeWeight(PtJtNode(Seq(
+      TriplePattern(Var("s"), Iri("ex:big"), Var("a")),
+      TriplePattern(Var("s"), Iri("ex:tiny"), Var("b")),
+    ))) == 10.0)
+  }
+
+  test("exact weight: a literal object scales a PT group by 1/100") {
+    assert(translator.nodeWeight(PtJtNode(Seq(
+      TriplePattern(Var("s"), Iri("ex:mid"), Var("a")),
+      TriplePattern(Var("s"), Iri("ex:small"), Lit("x")),
+    ))) == 1.0)
+  }
+
+  test("exact weight: a PT group with a constant subject is one row") {
+    assert(translator.nodeWeight(PtJtNode(Seq(
+      TriplePattern(Iri("ex:s1"), Iri("ex:big"), Var("a")),
+      TriplePattern(Iri("ex:s1"), Iri("ex:tiny"), Iri("ex:x")),
+    ))) == 0.05)
   }
 
   test("every pattern of the query appears in exactly one node") {

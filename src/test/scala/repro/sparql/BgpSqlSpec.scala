@@ -48,11 +48,6 @@ class BgpSqlSpec extends AnyFunSuite {
     assert(sql.contains("'it''s'"))
   }
 
-  test("custom table name is used") {
-    val sql = BgpSql.toSql(parse("SELECT ?s WHERE { ?s ex:p ?o }"), table = "g")
-    assert(sql.contains("FROM g t0"))
-  }
-
   test("star-shaped query joins every pattern on the shared subject") {
     val sql = BgpSql.toSql(parse("SELECT * WHERE { ?s ex:p ?a . ?s ex:q ?b . ?s ex:r ?c }"))
     assert(sql.contains("t1.s = t0.s"))

@@ -41,6 +41,13 @@ class SparqlParserSpec extends AnyFunSuite {
     assert(q.patterns.map(_.o) == Vector(Lit("30"), Lit("1.75")))
   }
 
+  test("error: a number with two dots") {
+    val e = intercept[ParseException](parse("SELECT * WHERE { ?v0 foaf:age 1.2.3 }"))
+    assert(e.getMessage.contains("'1.2.3'"), e.getMessage)
+    val q = parse("SELECT * WHERE { ?v0 foaf:age 1.2 . ?v0 foaf:rank -3 . ?v0 foaf:height 30. }")
+    assert(q.patterns.map(_.o) == Vector(Lit("1.2"), Lit("-3"), Lit("30")))
+  }
+
   test("prefixed IRI object") {
     val q = parse("SELECT ?s WHERE { ?s rdf:type wsdbm:User }")
     assert(q.patterns.head.o == Iri("wsdbm:User"))
