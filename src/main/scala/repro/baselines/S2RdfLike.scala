@@ -1,14 +1,11 @@
 package repro.baselines
 
-import java.nio.file.Paths
-
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{EvalCore, GraphStats, Prost, Tsv, VpStore}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, TriplePattern, Var}
-import repro.util.Timing
 
 /** Behaviour-faithful S2RDF stand-in (Schätzle et al., VLDB 2016).
   *
@@ -98,18 +95,20 @@ object S2RdfLike {
 
       val bySubject = cached.select(stats.idOf(col("p")) as "p2", col("s") as "k").distinct().cache()
       val byObject  = cached.select(stats.idOf(col("p")) as "p2", col("o") as "k").distinct().cache()
-      // The families below are appended per predicate: drop an earlier write's.
-      Positions.foreach(pos => Timing.deleteTree(Paths.get(s"$dir/extvp_$pos")))
+      def write(pos: String, df: DataFrame, mode: String = "append"): Unit =
+        df.select("p1", "p2", "s", "o")
+          .write.mode(mode).partitionBy("p1", "p2").parquet(s"$dir/extvp_$pos")
+      // Each family starts empty, replacing an earlier write's, so a graph
+      // without predicates has all three; every predicate appends to them.
+      val none = cached.where(lit(false)).select(lit(0) as "p1", lit(0) as "p2", col("s"), col("o"))
+      Positions.foreach(write(_, none, "overwrite"))
       stats.predicates.foreach { p1 =>
         val id = stats.ids(p1)
         val left = cached.where(col("p") === p1)
           .select(lit(id) as "p1", col("s"), col("o"))
-        def append(pos: String, df: DataFrame): Unit =
-          df.select("p1", "p2", "s", "o")
-            .write.mode("append").partitionBy("p1", "p2").parquet(s"$dir/extvp_$pos")
-        append("SS", left.join(bySubject.where(col("p2") =!= id), left("s") === bySubject("k")))
-        append("SO", left.join(byObject, left("s") === byObject("k")))
-        append("OS", left.join(bySubject, left("o") === bySubject("k")))
+        write("SS", left.join(bySubject.where(col("p2") =!= id), left("s") === bySubject("k")))
+        write("SO", left.join(byObject, left("s") === byObject("k")))
+        write("OS", left.join(bySubject, left("o") === bySubject("k")))
       }
       bySubject.unpersist(); byObject.unpersist()
       val sizes = Positions.flatMap { pos =>

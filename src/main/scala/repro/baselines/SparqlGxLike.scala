@@ -2,12 +2,12 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, concat_ws}
+import org.apache.spark.sql.functions.{col, concat_ws, lit}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
 import repro.core.{EvalCore, GraphStats, Prost, Tsv}
 import repro.rdf.TripleOps
-import repro.sparql.{BgpQuery, Iri, Lit, TriplePattern, Var}
+import repro.sparql.{BgpQuery, Const, TriplePattern, Var}
 
 /** Behaviour-faithful SPARQLGX stand-in (Graux et al., ISWC 2016).
   *
@@ -43,18 +43,18 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
     EvalCore.connectedOrder(patterns)(_.variables,
       tp => EvalCore.constantWeight(tp, stats(tp.p.value).tripleCount))
 
-  /** Evaluate one pattern to an RDD of variable bindings. */
-  private def evalPattern(tp: TriplePattern): RDD[Map[String, String]] = {
-    val filtered = tableFor(tp.p.value).filter { case (s, o) =>
-      (tp.s match { case Iri(c) => s == c; case Lit(c) => s == c; case _: Var => true }) &&
-      (tp.o match { case Iri(c) => o == c; case Lit(c) => o == c; case _: Var => true }) &&
-      (tp.s match { case v: Var if tp.o == v => s == o; case _ => true })
+  /** One pattern's bindings, position by position as in `EvalCore.bind`: a
+    * variable binds or must repeat its value, and a constant must equal it.
+    */
+  private def evalPattern(tp: TriplePattern): RDD[Map[String, String]] =
+    tableFor(tp.p.value).flatMap { case (s, o) =>
+      Seq(tp.s -> s, tp.o -> o).foldLeft(Option(Map.empty[String, String])) { case (acc, (term, value)) =>
+        acc.flatMap(m => term match {
+          case Var(n)   => Option.when(m.getOrElse(n, value) == value)(m + (n -> value))
+          case c: Const => Option.when(c.value == value)(m)
+        })
+      }
     }
-    filtered.map { case (s, o) =>
-      val m1 = tp.s match { case Var(n) => Map(n -> s); case _ => Map.empty[String, String] }
-      tp.o match { case Var(n) => m1 + (n -> o); case _ => m1 }
-    }
-  }
 
   /** Join two binding RDDs on their shared variables (RDD-level, as
     * SPARQLGX's generated code does); cartesian when disjoint.
@@ -76,14 +76,11 @@ final class SparqlGxLike(data: DataFrame, stats: GraphStats) {
     * after the projected variables) purely for comparison with the oracle.
     */
   def query(q: BgpQuery): DataFrame = {
-    val ordered = orderPatterns(q.patterns)
-    var acc = evalPattern(ordered.head)
-    var accVars = ordered.head.variables.map(_.name).toSet
-    ordered.tail.foreach { tp =>
-      val vars = tp.variables.map(_.name).toSet
-      acc = joinBindings(acc, accVars, evalPattern(tp), vars)
-      accVars ++= vars
-    }
+    val (acc, _) = orderPatterns(q.patterns)
+      .map(tp => (evalPattern(tp), tp.variables.map(_.name).toSet))
+      .reduceLeft[(RDD[Map[String, String]], Set[String])] { case ((acc, accVars), (rdd, vars)) =>
+        (joinBindings(acc, accVars, rdd, vars), accVars ++ vars)
+      }
     val proj = q.effectiveProjection.map(_.name)
     val rows = acc.map(m => Row.fromSeq(proj.map(m)))
     val schema = StructType(proj.map(StructField(_, StringType)))
@@ -116,7 +113,12 @@ object SparqlGxLike {
   /** Open a store written by [[writeTo]]; the schema is given, so opening
     * it infers nothing from the directory names.
     */
-  def loadFrom(spark: SparkSession, dir: String): SparqlGxLike =
-    new SparqlGxLike(spark.read.schema("value STRING, p INT").text(s"$dir/data"),
-      Prost.readStats(s"$dir/stats.tsv"))
+  def loadFrom(spark: SparkSession, dir: String): SparqlGxLike = {
+    val stats = Prost.readStats(s"$dir/stats.tsv")
+    // An empty graph has no `p=<id>` directory, without which the text
+    // reader takes `p` for a text column and rejects its type.
+    new SparqlGxLike(
+      if (stats.predicates.isEmpty) spark.emptyDataFrame.select(lit("") as "value", lit(0) as "p")
+      else spark.read.schema("value STRING, p INT").text(s"$dir/data"), stats)
+  }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.sparql.{Iri, Lit, Term, TriplePattern, Var}
+import repro.sparql.{Const, Term, TriplePattern, Var}
 
 /** The evaluation steps PRoST and the baselines share: binding triple
   * patterns against the columns of a table, joining bindings on their shared
@@ -28,13 +28,13 @@ object EvalCore {
         case Some(first) => (out, fs :+ (c === first))
         case None        => (out :+ (v -> c), fs)
       }
-      case ((out, fs), (Iri(k), c)) => (out, fs :+ (c === k))
-      case ((out, fs), (Lit(k), c)) => (out, fs :+ (c === k))
+      case ((out, fs), (k: Const, c)) => (out, fs :+ (c === k.value))
     }
-    val filtered = filters.foldLeft(table)(_ where _)
+    val filtered = filters.reduceOption(_ && _).fold(table)(table.where)
     // Positions without a variable bind nothing but still constrain: keep
     // a marker column so the row count (0 or 1) survives the projection.
-    if (outputs.isEmpty) filtered.select(lit(true) as "__ground")
+    // No variable name holds a `-`, so no variable's column meets it.
+    if (outputs.isEmpty) filtered.select(lit(true) as "ground-pattern")
     else filtered.select(outputs.map { case (v, c) => c as v.name }: _*)
   }
 

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.sparql.{Iri, Lit, TriplePattern, Var}
+import repro.sparql.{Const, Term, TriplePattern, Var}
 
 /** Bottom-up Join Tree execution over Spark DataFrames (Section 3.2):
   * every node yields a DataFrame whose columns are the variable names it
@@ -38,24 +38,18 @@ final class Executor(vp: VpStore, pt: PropertyTable) {
     * duplicated triple answers twice as in VP. `bind` does the rest.
     */
   private[core] def ptGroup(patterns: Seq[TriplePattern]): DataFrame = {
-    var df = pt.df
-    val objects = patterns.zipWithIndex.flatMap { case (tp, i) =>
-      val column = pt.columnFor.get(tp.p.value).fold(lit(null).cast("string"))(col)
-      (pt.multiValued.contains(tp.p.value), tp.o) match {
-        case (true, _: Var) =>
-          df = df.withColumn(s"__pt_$i", explode(column))
-          Some(tp.o -> col(s"__pt_$i"))
-        case (true, Iri(c)) => df = copies(df, column, c, i); None
-        case (true, Lit(c)) => df = copies(df, column, c, i); None
-        case (false, _) =>
-          df = df.where(column.isNotNull)
-          Some(tp.o -> column)
-      }
+    val (df, objects) = patterns.zipWithIndex.foldLeft((pt.df, Vector.empty[(Term, Column)])) {
+      case ((df, objects), (tp, i)) =>
+        val column = pt.column(tp.p.value).fold(lit(null).cast("string"))(col)
+        val element = s"__pt_$i"
+        (pt.isList(tp.p.value), tp.o) match {
+          case (false, o) => (df.where(column.isNotNull), objects :+ (o -> column))
+          case (true, o: Var) => (df.withColumn(element, explode(column)), objects :+ (o -> col(element)))
+          case (true, c: Const) =>
+            (df.where(array_contains(column, c.value))
+               .withColumn(element, explode(filter(column, _ === c.value))), objects)
+        }
     }
     EvalCore.bind(df, (patterns.head.s -> col("s")) +: objects)
   }
-
-  /** `df`'s rows whose list `column` holds `c`, one per copy of `c` in it. */
-  private def copies(df: DataFrame, column: Column, c: String, i: Int): DataFrame =
-    df.where(array_contains(column, c)).withColumn(s"__pt_$i", explode(filter(column, _ === c)))
 }

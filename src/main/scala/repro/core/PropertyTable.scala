@@ -16,22 +16,20 @@ import org.apache.spark.sql.functions._
   *     writing, the paper's trick to keep each subject's row on one node;
   *   - Parquet's run-length encoding absorbs the NULL-heavy layout.
   *
-  * @param df          the wide table; column `s` plus one column per predicate
-  * @param columnFor   predicate IRI -> column name `p<id>` (see [[GraphStats]])
-  * @param multiValued predicates stored as array columns
+  * @param df    the wide table; column `s` plus one column per predicate
+  * @param stats the graph's stats, which name each column and say which
+  *              are lists
   */
-final case class PropertyTable(
-    df: DataFrame,
-    columnFor: Map[String, String],
-    multiValued: Set[String],
-)
+final case class PropertyTable(df: DataFrame, stats: GraphStats) {
+
+  /** `p`'s column `p<id>` (see [[GraphStats]]); none if the graph lacks `p`. */
+  def column(p: String): Option[String] = stats.ids.get(p).map(id => s"p$id")
+
+  /** True if `p`'s column is a list: some subject holds several objects. */
+  def isList(p: String): Boolean = stats(p).isMultiValued
+}
 
 object PropertyTable {
-
-  /** `df` with the column names and list columns the stats imply. */
-  def apply(df: DataFrame, stats: GraphStats): PropertyTable =
-    PropertyTable(df, stats.ids.map { case (p, id) => p -> s"p$id" },
-                  stats.predicates.filter(stats(_).isMultiValued).toSet)
 
   /** Build the PT with a single aggregation pass — one
     * `collect_list(struct(p, o))` per subject, then row-local array
@@ -48,8 +46,8 @@ object PropertyTable {
         val values = transform(
           filter(col("__props"), x => x.getField("p") === p),
           x => x.getField("o"))
-        if (layout.multiValued.contains(p)) values.as(layout.columnFor(p))
-        else try_element_at(values, lit(1)).as(layout.columnFor(p)) // NULL when absent
+        // a scalar column is NULL when the subject lacks the predicate
+        (if (layout.isList(p)) values else try_element_at(values, lit(1))).as(layout.column(p).get)
       }: _*
     ))
   }

@@ -19,15 +19,19 @@ final case class Var(name: String) extends Term {
   override def toString: String = s"?$name"
 }
 
-/** An IRI constant in prefixed form, e.g. `wsdbm:User42`. */
-final case class Iri(value: String) extends Term {
+/** An IRI or a literal: every store holds a constant as its `value`. */
+sealed trait Const extends Term {
+  def value: String
   override def isVariable: Boolean = false
+}
+
+/** An IRI constant in prefixed form, e.g. `wsdbm:User42`. */
+final case class Iri(value: String) extends Const {
   override def toString: String = value
 }
 
 /** A literal constant; `value` is the lexical form without quotes. */
-final case class Lit(value: String) extends Term {
-  override def isVariable: Boolean = false
+final case class Lit(value: String) extends Const {
   override def toString: String = "\"" + value + "\""
 }
 

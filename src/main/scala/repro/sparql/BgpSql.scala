@@ -33,8 +33,7 @@ object BgpSql {
             case Some(prev) => conditions += s"$a.$col = $prev"
             case None       => varSite += v -> s"$a.$col"
           }
-        case Iri(c) => conditions += s"$a.$col = ${q(c)}"
-        case Lit(c) => conditions += s"$a.$col = ${q(c)}"
+        case c: Const => conditions += s"$a.$col = ${q(c.value)}"
       }
       site(tp.s, "s")
       site(tp.o, "o")

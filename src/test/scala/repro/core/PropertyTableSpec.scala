@@ -19,8 +19,8 @@ class PropertyTableSpec extends SparkSpec {
   ))
   private lazy val stats = GraphStats.compute(graph)
   private lazy val pt = PropertyTable.build(graph, stats)
-  private lazy val m = pt.columnFor("ex:m")
-  private lazy val single = pt.columnFor("ex:single")
+  private lazy val m = pt.column("ex:m").get
+  private lazy val single = pt.column("ex:single").get
 
   test("one row per distinct subject") {
     assert(pt.df.count() == 3)
@@ -31,7 +31,7 @@ class PropertyTableSpec extends SparkSpec {
   }
 
   test("multi-valued predicate becomes an array column") {
-    assert(pt.multiValued == Set("ex:m"))
+    assert(pt.isList("ex:m") && !pt.isList("ex:single"))
     assert(pt.df.schema(m).dataType == ArrayType(StringType, containsNull = false) ||
            pt.df.schema(m).dataType.isInstanceOf[ArrayType])
   }
@@ -55,8 +55,9 @@ class PropertyTableSpec extends SparkSpec {
     assert(arr.isNullAt(0) || arr.getSeq[String](0).isEmpty)
   }
 
-  test("columnFor maps every predicate") {
-    assert(pt.columnFor.keySet == Set("ex:m", "ex:single"))
+  test("column names every predicate, and none for an unknown one") {
+    assert(m == "p0" && single == "p1")
+    assert(pt.column("ex:unknown").isEmpty && !pt.isList("ex:unknown"))
   }
 
   test("parquet write/load round trip preserves shape and content") {
@@ -64,7 +65,8 @@ class PropertyTableSpec extends SparkSpec {
     PropertyTable.write(pt, s"$dir/pt")
     val loaded = PropertyTable.load(spark, s"$dir/pt", stats)
     assert(loaded.df.count() == 3)
-    assert(loaded.columnFor == pt.columnFor && loaded.multiValued == pt.multiValued)
+    assert(Seq("ex:m", "ex:single").forall(p =>
+      loaded.column(p) == pt.column(p) && loaded.isList(p) == pt.isList(p)))
     assert(loaded.df.columns.toSet == pt.df.columns.toSet)
     val values = loaded.df.where(col("s") === "ex:a")
       .select(array_sort(col(m))).collect().head.getSeq[String](0)
@@ -81,8 +83,8 @@ class PropertyTableSpec extends SparkSpec {
     val bigPt = repro.TestData.prost.pt
     val preds = repro.TestData.stats.predicates
     val nullCounts = preds.map { p =>
-      val c = bigPt.columnFor(p)
-      if (bigPt.multiValued.contains(p))
+      val c = bigPt.column(p).get
+      if (bigPt.isList(p))
         bigPt.df.where(size(col(c)) === 0).count()
       else bigPt.df.where(col(c).isNull).count()
     }
@@ -95,7 +97,7 @@ class PropertyTableSpec extends SparkSpec {
 
   test("WatDiv PT: follows is stored as a list, userId as a scalar") {
     val bigPt = repro.TestData.prost.pt
-    assert(bigPt.multiValued.contains("wsdbm:follows"))
-    assert(!bigPt.multiValued.contains("wsdbm:userId"))
+    assert(bigPt.isList("wsdbm:follows"))
+    assert(!bigPt.isList("wsdbm:userId"))
   }
 }
