@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{EvalCore, GraphStats, Prost, Tsv, VpStore}
+import repro.core.{EvalCore, GraphStats, Prost, VpStore}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpQuery, TriplePattern, Var}
 
@@ -78,7 +78,7 @@ object S2RdfLike {
     spark.read.schema("s STRING, o STRING, p1 INT, p2 INT").parquet(s"$dir/extvp_$pos")
 
   /** S2RDF loading phase (the Table 1 cost): VP Parquet + the three ExtVP
-    * families + stats + size metadata, then the opened store.
+    * families + stats, then the opened store.
     *
     * Faithful to the original system, the reductions are computed **one
     * predicate at a time** (S2RDF issues one SQL job per ExtVP table
@@ -111,28 +111,21 @@ object S2RdfLike {
         write("OS", left.join(bySubject, left("o") === bySubject("k")))
       }
       bySubject.unpersist(); byObject.unpersist()
-      val sizes = Positions.flatMap { pos =>
-        readExt(cached.sparkSession, dir, pos).groupBy("p1", "p2").count().collect()
-          .map(r => (pos, stats.predicates(r.getInt(0)), stats.predicates(r.getInt(1))) -> r.getLong(2))
-      }
-      Tsv.write(s"$dir/ext_sizes.tsv", sizes.sortBy(_.toString).map { case ((pos, p1, p2), n) =>
-        Seq(pos, p1, p2, n.toString)
-      })
       Prost.writeStats(stats, s"$dir/stats.tsv")
     }
     loadFrom(triples.sparkSession, dir)
   }
 
-  /** Open a store written by [[writeTo]]. The ExtVP sizes are read first:
-    * a malformed line fails with its path and line number, as
-    * `Prost.readStats` does.
+  /** Open a store written by [[writeTo]]. Each ExtVP table's size is its
+    * row count, counted here once per family.
     */
   def loadFrom(spark: SparkSession, dir: String): S2RdfLike = {
     val stats = Prost.readStats(s"$dir/stats.tsv")
-    val sizes = Tsv.read(s"$dir/ext_sizes.tsv", 4) { case Array(pos, p1, p2, n) =>
-      n.toLongOption.map((pos, p1, p2) -> _).toRight("size must be an integer")
-    }.toMap
     val ext = Positions.map(pos => pos -> readExt(spark, dir, pos)).toMap
+    val sizes = ext.toSeq.flatMap { case (pos, df) =>
+      df.groupBy("p1", "p2").count().collect()
+        .map(r => (pos, stats.predicates(r.getInt(0)), stats.predicates(r.getInt(1))) -> r.getLong(2))
+    }.toMap
     new S2RdfLike(VpStore.load(spark, s"$dir/vp", stats), stats, ext, sizes)
   }
 }

@@ -20,13 +20,14 @@ object EvalCore {
   /** Bindings of one row's `(term, column)` positions: a constant becomes
     * an equality filter, a variable's first position its output column
     * named after it, and each later position of the same variable an
-    * equality filter against that first one.
+    * equality filter against that first one. A variable never binds NULL:
+    * its first position also filters NULLs out, and every equality does.
     */
   def bind(table: DataFrame, positions: Seq[(Term, Column)]): DataFrame = {
     val (outputs, filters) = positions.foldLeft((Vector.empty[(Var, Column)], Vector.empty[Column])) {
       case ((out, fs), (v: Var, c)) => out.collectFirst { case (`v`, first) => first } match {
         case Some(first) => (out, fs :+ (c === first))
-        case None        => (out :+ (v -> c), fs)
+        case None        => (out :+ (v -> c), fs :+ c.isNotNull)
       }
       case ((out, fs), (k: Const, c)) => (out, fs :+ (c === k.value))
     }

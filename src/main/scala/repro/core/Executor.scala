@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.sparql.{Const, Term, TriplePattern, Var}
+import repro.sparql.{Term, TriplePattern}
 
 /** Bottom-up Join Tree execution over Spark DataFrames (Section 3.2):
   * every node yields a DataFrame whose columns are the variable names it
@@ -30,25 +30,19 @@ final class Executor(vp: VpStore, pt: PropertyTable) {
 
   /** A same-subject group answered from one PT row — the join-free
     * sub-query the mixed strategy exists for. Each pattern's object reads
-    * its predicate's column: a scalar column without its NULL rows, and a
-    * NULL column for a predicate the PT lacks, which the NULL filter turns
-    * into the empty group. A list column gives one row per element: every
-    * element for a variable object; for a constant object, the rows whose
-    * list holds it (`array_contains`), each once per listed copy, so a
-    * duplicated triple answers twice as in VP. `bind` does the rest.
+    * its predicate's column, or a NULL column for a predicate the PT
+    * lacks. A list column is exploded into one row per element, so a
+    * duplicated triple answers twice as in VP. `bind` does the rest: a
+    * NULL, where the subject lacks a scalar predicate, binds nothing, and
+    * a constant object is matched as on a VP table.
     */
   private[core] def ptGroup(patterns: Seq[TriplePattern]): DataFrame = {
     val (df, objects) = patterns.zipWithIndex.foldLeft((pt.df, Vector.empty[(Term, Column)])) {
       case ((df, objects), (tp, i)) =>
         val column = pt.column(tp.p.value).fold(lit(null).cast("string"))(col)
         val element = s"__pt_$i"
-        (pt.isList(tp.p.value), tp.o) match {
-          case (false, o) => (df.where(column.isNotNull), objects :+ (o -> column))
-          case (true, o: Var) => (df.withColumn(element, explode(column)), objects :+ (o -> col(element)))
-          case (true, c: Const) =>
-            (df.where(array_contains(column, c.value))
-               .withColumn(element, explode(filter(column, _ === c.value))), objects)
-        }
+        if (pt.isList(tp.p.value)) (df.withColumn(element, explode(column)), objects :+ (tp.o -> col(element)))
+        else (df, objects :+ (tp.o -> column))
     }
     EvalCore.bind(df, (patterns.head.s -> col("s")) +: objects)
   }

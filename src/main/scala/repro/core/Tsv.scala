@@ -11,7 +11,7 @@ import org.apache.spark.sql.functions.{udf, when}
 
 /** The one rule for a term in a field of a tab-separated line, used by
   * every text file the reproduction reads: the source dump, SPARQLGX's
-  * partitions, `stats.tsv` and S2RDF's `ext_sizes.tsv`. As in N-Triples,
+  * partitions and `stats.tsv`. As in N-Triples,
   * `\` becomes `\\` and tab, LF and CR become `\t`, `\n` and `\r`, so any
   * term is one field of one line. Local filesystem only, like all storage.
   */

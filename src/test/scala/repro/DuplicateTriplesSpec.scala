@@ -28,6 +28,7 @@ class DuplicateTriplesSpec extends SparkSpec {
     """SELECT * WHERE { ?s ex:lit "7" . ?s ex:one ?o }""",
     "SELECT * WHERE { ?s ex:dup ?d . ?s ex:one ?o }",
     "SELECT * WHERE { ?s ex:dup ex:x }",
+    """SELECT * WHERE { ?s ex:dup ex:x . ?s ex:lit "7" . ?s ex:one ?o }""",
   )
 
   for ((name, run) <- TestData.configurations(graph); sparql <- queries)

@@ -80,7 +80,9 @@ class S2RdfLikeSpec extends SparkSpec {
     val graph = TripleOps.fromSeq(spark, Seq(
       ("a", "ex:p", "b"), ("b", "ex:q", "c"), ("a", "ex:q", "d"), ("c", "ex:p", "a")))
     val d = TestData.freshDir("s2rdf-twice")
-    def sizes = Files.readString(java.nio.file.Paths.get(s"$d/ext_sizes.tsv"))
+    // Each ExtVP table's row count, per family: an append would double them.
+    def sizes = S2RdfLike.Positions.map(pos => pos ->
+      spark.read.parquet(s"$d/extvp_$pos").groupBy("p1", "p2").count().collect().toSet)
     S2RdfLike.writeTo(graph, d)
     val first = sizes
     val store = S2RdfLike.writeTo(graph, d)
@@ -90,29 +92,5 @@ class S2RdfLikeSpec extends SparkSpec {
       val q = SparqlParser.parse(sparql)
       Oracle.assertEquivalent(store.query(q), BgpSql.toSql(q), "triples" -> graph)
     }
-  }
-
-  /** A store directory whose `ext_sizes.tsv` holds `sizes`; `loadFrom`
-    * reads it before any Parquet table.
-    */
-  private def storeWithSizes(sizes: String): java.nio.file.Path = {
-    val d = java.nio.file.Paths.get(TestData.freshDir("s2rdf-bad"))
-    Files.writeString(d.resolve("stats.tsv"), "")
-    Files.writeString(d.resolve("ext_sizes.tsv"), sizes)
-  }
-
-  test("loadFrom names the file and line of an ext_sizes line with a wrong field count") {
-    val path = storeWithSizes("SS\tex:p\tex:q\t3\n\nOS\tex:p\t3\n")
-    val e = intercept[IllegalArgumentException](S2RdfLike.loadFrom(spark, path.getParent.toString))
-    assert(e.getMessage.startsWith(s"$path:3:"), e.getMessage)
-    assert(e.getMessage.contains("expected 4 tab-separated fields, found 3"), e.getMessage)
-    assert(e.getMessage.contains("\"OS\\tex:p\\t3\""), e.getMessage)
-  }
-
-  test("loadFrom names the file and line of an ext_sizes line with a non-integer size") {
-    val path = storeWithSizes("SS\tex:p\tex:q\tmany\n")
-    val e = intercept[IllegalArgumentException](S2RdfLike.loadFrom(spark, path.getParent.toString))
-    assert(e.getMessage.startsWith(s"$path:1:"), e.getMessage)
-    assert(e.getMessage.contains("size must be an integer"), e.getMessage)
   }
 }

@@ -77,8 +77,13 @@ class ExecutorSpec extends SparkSpec {
     check("SELECT * WHERE { ?u ex:follows ?f . ?u ex:likes ?l }")
   }
 
-  test("star with a constant on a multi-valued predicate (array_contains path)") {
+  test("star with a constant on a multi-valued predicate (explode, then match)") {
     check("SELECT ?n WHERE { ?u ex:likes p1 . ?u ex:name ?n }")
+  }
+
+  test("star with constants on two multi-valued predicates") {
+    // u1 and u2 both like p1 and follow u3; u1's other elements drop out.
+    check("SELECT ?n WHERE { ?u ex:likes p1 . ?u ex:follows u3 . ?u ex:name ?n }")
   }
 
   test("star where one member is absent for some subjects (NULL filtering)") {

@@ -4,9 +4,10 @@ import repro.{Oracle, SparkSpec, TestData}
 import repro.rdf.TripleOps
 import repro.sparql.{BgpSql, SparqlParser}
 
-/** Predicates that name the Property Table's own columns — the subject
-  * column `s` in either case, the `__` working columns — or that differ
-  * only in letter case, which Spark's column resolution may ignore. Every
+/** Predicates and variables that name the Property Table's own columns —
+  * the subject column `s` in either case, the `__` working columns — and
+  * predicates that differ only in letter case, which Spark's column
+  * resolution may ignore. Every
   * query is checked against DuckDB on PRoST in both modes and on the three
   * baselines, each on a written and reopened store.
   */
@@ -36,6 +37,9 @@ class ReservedNamesSpec extends SparkSpec {
     "SELECT * WHERE { ?x ex:P ?v . ?x ex:p ?v }",
     "SELECT * WHERE { ?x s ?y . ?y S ?z . ?y ex:p ?v }",
     "SELECT ?y WHERE { a s ?y . ?y __pt_0 ?w }",
+    // The list `s` explodes into the working column `__pt_1`, which the
+    // variable ?__pt_0 then reads, while ?__pt_1 reads the subject.
+    "SELECT * WHERE { ?__pt_1 S ?x . ?__pt_1 s ?__pt_0 }",
   )
 
   for (sparql <- queries; vpOnly <- Seq(false, true))
